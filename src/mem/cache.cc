@@ -182,10 +182,8 @@ Cache::saveState(SnapshotWriter &w) const
     w.u64(statMisses);
     w.u64(statPrefetchFills);
     w.u64(statUnusedPrefetchEvictions);
-    for (std::uint64_t t : tagv)
-        w.u64(t);
-    for (std::uint64_t s : lru)
-        w.u64(s);
+    w.u64Array(tagv.data(), tagv.size());
+    w.u64Array(lru.data(), lru.size());
     w.bytes(mruWay.data(), mruWay.size());
     for (const Line &line : lines) {
         w.boolean(line.prefetched);
@@ -206,17 +204,23 @@ Cache::restoreState(SnapshotReader &r)
     statMisses = r.u64();
     statPrefetchFills = r.u64();
     statUnusedPrefetchEvictions = r.u64();
-    for (std::uint64_t &t : tagv)
-        t = r.u64();
-    for (std::uint64_t &s : lru)
-        s = r.u64();
+    r.u64Array(tagv.data(), tagv.size());
+    r.u64Array(lru.data(), lru.size());
     r.bytes(mruWay.data(), mruWay.size());
+    // The hint indexes the way arrays unchecked on every lookup.
+    for (std::uint8_t m : mruWay)
+        r.bounded(m, cfg.ways, "cache MRU way hint");
+    // Per-line metadata as saveState writes it: prefetched,
+    // pfFromDram, pfSlot (one byte each), pfMeta, readyAt (u64).
+    constexpr std::size_t kLineRecordBytes = 3 + 8 + 8;
+    const std::uint8_t *p = r.block(lines.size() * kLineRecordBytes);
     for (Line &line : lines) {
-        line.prefetched = r.boolean();
-        line.pfFromDram = r.boolean();
-        line.pfSlot = r.u8();
-        line.pfMeta = r.u64();
-        line.readyAt = r.u64();
+        line.prefetched = p[0] != 0;
+        line.pfFromDram = p[1] != 0;
+        line.pfSlot = p[2];
+        line.pfMeta = loadLe64(p + 3);
+        line.readyAt = loadLe64(p + 11);
+        p += kLineRecordBytes;
     }
 }
 

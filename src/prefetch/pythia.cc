@@ -355,13 +355,17 @@ PythiaPrefetcher::restoreState(SnapshotReader &r)
     for (EqEntry &e : eqBuf) {
         e.f1 = r.u64();
         e.f2 = r.u64();
-        e.action = r.u32();
+        // Indexes the Q planes and the offset list unchecked.
+        e.action = static_cast<unsigned>(
+            r.bounded(r.u32(), kActions, "Pythia EQ action"));
         e.rewarded = r.boolean();
         e.dropped = r.boolean();
         e.reward = r.f64();
     }
-    eqHead = r.u32();
-    eqCount = r.u32();
+    eqHead = static_cast<unsigned>(
+        r.bounded(r.u32(), kEqCapacity, "Pythia EQ head"));
+    eqCount = static_cast<unsigned>(
+        r.bounded(r.u32(), kEqCapacity + 1, "Pythia EQ occupancy"));
     eqBase = r.u64();
     lastLine = r.u64();
     for (int &d : deltaHistory)

@@ -5,6 +5,7 @@
 
 #include "snapshot/snapshot.hh"
 
+#include <bit>
 #include <cstdio>
 #include <cstring>
 
@@ -61,13 +62,6 @@ putU32At(std::uint8_t *p, std::uint32_t v)
         p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
-void
-putU64At(std::uint8_t *p, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
 std::uint16_t
 getU16(const std::uint8_t *p)
 {
@@ -84,13 +78,35 @@ getU32(const std::uint8_t *p)
     return v;
 }
 
+// XXH64 primes.
+constexpr std::uint64_t kPrime1 = 0x9e3779b185ebca87ull;
+constexpr std::uint64_t kPrime2 = 0xc2b2ae3d27d4eb4full;
+constexpr std::uint64_t kPrime3 = 0x165667b19e3779f9ull;
+constexpr std::uint64_t kPrime4 = 0x85ebca77c2b2ae63ull;
+constexpr std::uint64_t kPrime5 = 0x27d4eb2f165667c5ull;
+
+/** One XXH64 lane step: fold an 8-byte word into @p acc. */
 std::uint64_t
-getU64(const std::uint8_t *p)
+xxRound(std::uint64_t acc, std::uint64_t word)
 {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= std::uint64_t{p[i]} << (8 * i);
-    return v;
+    acc += word * kPrime2;
+    return std::rotl(acc, 31) * kPrime1;
+}
+
+/** Fold a finished lane into the converged hash. */
+std::uint64_t
+xxMerge(std::uint64_t h, std::uint64_t lane)
+{
+    h ^= xxRound(0, lane);
+    return h * kPrime1 + kPrime4;
+}
+
+/** @p n elements of @p width bytes, saturated (error messages). */
+std::size_t
+saturatingBytes(std::uint64_t n, std::size_t width)
+{
+    return n > SIZE_MAX / width ? SIZE_MAX
+                                : static_cast<std::size_t>(n) * width;
 }
 
 } // namespace
@@ -98,11 +114,52 @@ getU64(const std::uint8_t *p)
 std::uint64_t
 snapshotChecksum(const std::uint8_t *p, std::size_t n)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ull;
+    const std::uint8_t *const end = p + n;
+    std::uint64_t h;
+    if (n >= 32) {
+        // Four independent lanes keep four multiplies in flight.
+        std::uint64_t v1 = kPrime1 + kPrime2;
+        std::uint64_t v2 = kPrime2;
+        std::uint64_t v3 = 0;
+        std::uint64_t v4 = 0 - kPrime1;
+        const std::uint8_t *const last_stripe = end - 32;
+        do {
+            v1 = xxRound(v1, loadLe64(p));
+            v2 = xxRound(v2, loadLe64(p + 8));
+            v3 = xxRound(v3, loadLe64(p + 16));
+            v4 = xxRound(v4, loadLe64(p + 24));
+            p += 32;
+        } while (p <= last_stripe);
+        h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+            std::rotl(v4, 18);
+        h = xxMerge(h, v1);
+        h = xxMerge(h, v2);
+        h = xxMerge(h, v3);
+        h = xxMerge(h, v4);
+    } else {
+        h = kPrime5;
     }
+    h += n;
+    // Ragged tail (< 32 bytes).
+    for (; end - p >= 8; p += 8) {
+        h ^= xxRound(0, loadLe64(p));
+        h = std::rotl(h, 27) * kPrime1 + kPrime4;
+    }
+    if (end - p >= 4) {
+        h ^= std::uint64_t{getU32(p)} * kPrime1;
+        h = std::rotl(h, 23) * kPrime2 + kPrime3;
+        p += 4;
+    }
+    for (; p < end; ++p) {
+        h ^= std::uint64_t{*p} * kPrime5;
+        h = std::rotl(h, 11) * kPrime1;
+    }
+    // Avalanche.
+    h ^= h >> 33;
+    h *= kPrime2;
+    h ^= h >> 29;
+    h *= kPrime3;
+    h ^= h >> 32;
     return h;
 }
 
@@ -171,6 +228,16 @@ SnapshotWriter::bytes(const void *p, std::size_t n)
     payload.insert(payload.end(), b, b + n);
 }
 
+void
+SnapshotWriter::u64Array(const std::uint64_t *p, std::size_t n)
+{
+    const std::size_t at = payload.size();
+    payload.resize(at + n * 8);
+    std::uint8_t *out = payload.data() + at;
+    for (std::size_t i = 0; i < n; ++i)
+        storeLe64(out + 8 * i, p[i]);
+}
+
 std::vector<std::uint8_t>
 SnapshotWriter::serialize() const
 {
@@ -194,9 +261,9 @@ SnapshotWriter::serialize() const
     for (const Section &s : sections) {
         std::memset(p, 0, kSnapshotTagBytes);
         std::memcpy(p, s.tag.data(), s.tag.size());
-        putU64At(p + kSnapshotTagBytes, payload_base + s.start);
-        putU64At(p + kSnapshotTagBytes + 8, s.length);
-        putU64At(p + kSnapshotTagBytes + 16, s.checksum);
+        storeLe64(p + kSnapshotTagBytes, payload_base + s.start);
+        storeLe64(p + kSnapshotTagBytes + 8, s.length);
+        storeLe64(p + kSnapshotTagBytes + 16, s.checksum);
         p += kTableEntryBytes;
     }
     if (!payload.empty())
@@ -327,9 +394,9 @@ SnapshotReader::parse()
         while (tag_len < kSnapshotTagBytes && e[tag_len] != 0)
             ++tag_len;
         entry.tag.assign(reinterpret_cast<const char *>(e), tag_len);
-        entry.offset = getU64(e + kSnapshotTagBytes);
-        entry.length = getU64(e + kSnapshotTagBytes + 8);
-        entry.checksum = getU64(e + kSnapshotTagBytes + 16);
+        entry.offset = loadLe64(e + kSnapshotTagBytes);
+        entry.length = loadLe64(e + kSnapshotTagBytes + 8);
+        entry.checksum = loadLe64(e + kSnapshotTagBytes + 16);
         if (entry.offset < table_end ||
             entry.offset + entry.length > size ||
             entry.offset + entry.length < entry.offset) {
@@ -386,6 +453,17 @@ SnapshotReader::underflow(std::size_t need)
         "end (truncated or mismatched layout)");
 }
 
+void
+SnapshotReader::outOfRange(std::uint64_t v, std::uint64_t limit,
+                           const char *what) const
+{
+    throw SnapshotError(curTag, std::string(what) + " " +
+                                    std::to_string(v) +
+                                    " out of range (must be < " +
+                                    std::to_string(limit) +
+                                    "; corrupt snapshot)");
+}
+
 std::uint8_t
 SnapshotReader::u8()
 {
@@ -419,7 +497,7 @@ SnapshotReader::u64()
 {
     if (cursor + 8 > secEnd)
         underflow(8);
-    std::uint64_t v = getU64(data + cursor);
+    std::uint64_t v = loadLe64(data + cursor);
     cursor += 8;
     return v;
 }
@@ -436,10 +514,28 @@ SnapshotReader::f64()
 void
 SnapshotReader::bytes(void *p, std::size_t n)
 {
-    if (cursor + n > secEnd || cursor + n < cursor)
+    std::memcpy(p, block(n), n);
+}
+
+const std::uint8_t *
+SnapshotReader::block(std::size_t n)
+{
+    if (n > remaining())
         underflow(n);
-    std::memcpy(p, data + cursor, n);
+    const std::uint8_t *p = data + cursor;
     cursor += n;
+    return p;
+}
+
+void
+SnapshotReader::u64Array(std::uint64_t *p, std::size_t n)
+{
+    if (n > remaining() / 8)
+        underflow(saturatingBytes(n, 8));
+    const std::uint8_t *in = data + cursor;
+    for (std::size_t i = 0; i < n; ++i)
+        p[i] = loadLe64(in + 8 * i);
+    cursor += n * 8;
 }
 
 std::vector<std::uint64_t>
@@ -447,11 +543,9 @@ SnapshotReader::vecU64()
 {
     std::uint64_t n = u64();
     if (n > remaining() / 8)
-        underflow(static_cast<std::size_t>(n) * 8);
-    std::vector<std::uint64_t> v;
-    v.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i)
-        v.push_back(u64());
+        underflow(saturatingBytes(n, 8));
+    std::vector<std::uint64_t> v(static_cast<std::size_t>(n));
+    u64Array(v.data(), v.size());
     return v;
 }
 

@@ -1,10 +1,12 @@
 /**
  * @file
  * Snapshot format and robustness tests: ASNP header/section-table
- * validation, typed SnapshotError reporting that names the offending
- * section, geometry guards, and save -> restore -> save byte
- * identity of the full simulator state under randomized
- * configurations.
+ * validation, the XXH64 section checksum and bulk-array primitives,
+ * typed SnapshotError reporting that names the offending section,
+ * geometry guards, range guards on restored indices (crafted
+ * mutations of a real snapshot with the checksum recomputed), and
+ * save -> restore -> save byte identity of the full simulator state
+ * under randomized configurations.
  */
 
 #include <cstdint>
@@ -16,6 +18,7 @@
 
 #include "common/rng.hh"
 #include "mem/cache.hh"
+#include "prefetch/pythia.hh"
 #include "sim/simulator.hh"
 #include "sim/system_config.hh"
 #include "snapshot/snapshot.hh"
@@ -39,6 +42,68 @@ readFile(const std::string &path)
     return std::vector<std::uint8_t>(
         std::istreambuf_iterator<char>(in),
         std::istreambuf_iterator<char>());
+}
+
+void
+writeFile(const std::string &path, const std::vector<std::uint8_t> &b)
+{
+    std::ofstream out(path, std::ios::binary);
+    out.write(reinterpret_cast<const char *>(b.data()),
+              static_cast<std::streamsize>(b.size()));
+}
+
+std::uint32_t
+loadLe32(const std::uint8_t *p)
+{
+    std::uint32_t v = 0;
+    for (int i = 0; i < 4; ++i)
+        v |= std::uint32_t{p[i]} << (8 * i);
+    return v;
+}
+
+void
+storeLe32(std::uint8_t *p, std::uint32_t v)
+{
+    for (int i = 0; i < 4; ++i)
+        p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/** Where one section lives in a serialized snapshot. */
+struct SectionLoc
+{
+    std::size_t entry = 0;  ///< Offset of its section-table entry.
+    std::size_t offset = 0; ///< Absolute payload offset.
+    std::size_t length = 0;
+};
+
+/** Locate section @p tag by walking the ASNP section table. */
+SectionLoc
+locateSection(const std::vector<std::uint8_t> &b, const std::string &tag)
+{
+    constexpr std::size_t kHeader = 16;
+    constexpr std::size_t kEntry = kSnapshotTagBytes + 24;
+    const std::uint32_t count = loadLe32(&b[8]);
+    for (std::uint32_t i = 0; i < count; ++i) {
+        const std::size_t e = kHeader + std::size_t{i} * kEntry;
+        const std::string name(reinterpret_cast<const char *>(&b[e]));
+        if (name == tag) {
+            return {e, static_cast<std::size_t>(
+                           loadLe64(&b[e + kSnapshotTagBytes])),
+                    static_cast<std::size_t>(
+                        loadLe64(&b[e + kSnapshotTagBytes + 8]))};
+        }
+    }
+    ADD_FAILURE() << "no section " << tag;
+    return {};
+}
+
+/** Recompute a section's table checksum after editing its bytes,
+ *  so only the restore-side guards can reject the edit. */
+void
+resealSection(std::vector<std::uint8_t> &b, const SectionLoc &s)
+{
+    storeLe64(&b[s.entry + kSnapshotTagBytes + 16],
+              snapshotChecksum(&b[s.offset], s.length));
 }
 
 WorkloadSpec
@@ -125,6 +190,72 @@ TEST(SnapshotFormat, FileRoundTrip)
     std::remove(path.c_str());
 }
 
+TEST(SnapshotFormat, ChecksumIsXxh64)
+{
+    // Reference values of the published XXH64 algorithm, seed 0.
+    // The 77-byte input covers two 32-byte lane stripes plus a
+    // 13-byte tail (one 8-byte, one 4-byte and one 1-byte fold).
+    auto sum = [](const std::string &text) {
+        return snapshotChecksum(
+            reinterpret_cast<const std::uint8_t *>(text.data()),
+            text.size());
+    };
+    EXPECT_EQ(sum(""), 0xef46db3751d8e999ull);
+    EXPECT_EQ(sum("a"), 0xd24ec4f1a98c6e5bull);
+    EXPECT_EQ(sum("abc"), 0x44bc2cf5ad770999ull);
+    std::vector<std::uint8_t> pattern(77);
+    for (std::size_t i = 0; i < pattern.size(); ++i)
+        pattern[i] = static_cast<std::uint8_t>(i * 37 + 11);
+    EXPECT_EQ(snapshotChecksum(pattern.data(), pattern.size()),
+              0x531f82751546d548ull);
+}
+
+TEST(SnapshotFormat, BulkArraysRoundTripAtOddLengths)
+{
+    for (std::size_t n : {0u, 1u, 3u, 5u, 7u, 33u, 77u}) {
+        std::vector<std::uint64_t> values(n);
+        for (std::size_t i = 0; i < n; ++i)
+            values[i] = (0x0123456789abcdefull * (i + 1)) ^ (i << 59);
+
+        SnapshotWriter bulk;
+        bulk.beginSection("arr");
+        bulk.u8(0x5a); // misalign the array within the payload
+        bulk.u64Array(values.data(), n);
+        bulk.endSection();
+        SnapshotWriter scalar;
+        scalar.beginSection("arr");
+        scalar.u8(0x5a);
+        for (std::uint64_t v : values)
+            scalar.u64(v);
+        scalar.endSection();
+        // Same bytes as the per-element encoding.
+        EXPECT_EQ(bulk.serialize(), scalar.serialize()) << "n=" << n;
+
+        SnapshotReader r(bulk.serialize());
+        r.openSection("arr");
+        EXPECT_EQ(r.u8(), 0x5a);
+        std::vector<std::uint64_t> back(n, 0);
+        r.u64Array(back.data(), n);
+        EXPECT_EQ(back, values) << "n=" << n;
+        EXPECT_EQ(r.remaining(), 0u);
+    }
+}
+
+TEST(SnapshotFormat, BlockReadsInPlace)
+{
+    SnapshotWriter w;
+    w.beginSection("blk");
+    w.u8(7);
+    w.u64(0x1122334455667788ull);
+    w.endSection();
+    SnapshotReader r(w.serialize());
+    r.openSection("blk");
+    const std::uint8_t *p = r.block(9);
+    EXPECT_EQ(p[0], 7);
+    EXPECT_EQ(loadLe64(p + 1), 0x1122334455667788ull);
+    EXPECT_EQ(r.remaining(), 0u);
+}
+
 // ------------------------------------------------------- robustness
 
 TEST(SnapshotRobustness, MissingFileIsTypedError)
@@ -151,13 +282,85 @@ TEST(SnapshotRobustness, BadMagicIsFileLevelError)
 
 TEST(SnapshotRobustness, WrongVersionIsRejected)
 {
+    // v2 files carry FNV-1a checksums: they are refused, not read.
     SnapshotWriter w;
     w.beginSection("s");
     w.u64(1);
     w.endSection();
-    auto bytes = w.serialize();
-    bytes[4] = static_cast<std::uint8_t>(kSnapshotVersion + 1);
-    EXPECT_THROW(SnapshotReader r(std::move(bytes)), SnapshotError);
+    for (unsigned version : {2u, kSnapshotVersion + 1u}) {
+        auto bytes = w.serialize();
+        bytes[4] = static_cast<std::uint8_t>(version);
+        bytes[5] = static_cast<std::uint8_t>(version >> 8);
+        try {
+            SnapshotReader r(std::move(bytes));
+            ADD_FAILURE() << "version " << version << " accepted";
+        } catch (const SnapshotError &e) {
+            EXPECT_TRUE(e.section().empty());
+            EXPECT_NE(std::string(e.what()).find(
+                          "version " + std::to_string(version)),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(SnapshotRobustness, EveryByteFlipAcrossLaneStripesIsDetected)
+{
+    // 77 bytes: two 32-byte lane stripes and a ragged 13-byte tail.
+    SnapshotWriter w;
+    w.beginSection("lead");
+    w.u32(1);
+    w.endSection();
+    w.beginSection("body");
+    for (int i = 0; i < 77; ++i)
+        w.u8(static_cast<std::uint8_t>(i * 29 + 3));
+    w.endSection();
+    const auto clean = w.serialize();
+    const SectionLoc body = locateSection(clean, "body");
+    ASSERT_EQ(body.length, 77u);
+
+    for (std::size_t i = 0; i < body.length; ++i) {
+        for (int mask : {0x01, 0x80, 0xff}) {
+            auto bytes = clean;
+            bytes[body.offset + i] ^= static_cast<std::uint8_t>(mask);
+            SnapshotReader r(std::move(bytes));
+            r.openSection("lead"); // neighbours still verify
+            try {
+                r.openSection("body");
+                ADD_FAILURE() << "flip 0x" << std::hex << mask
+                              << " at byte " << std::dec << i
+                              << " not detected";
+            } catch (const SnapshotError &e) {
+                EXPECT_EQ(e.section(), "body");
+            }
+        }
+    }
+}
+
+TEST(SnapshotRobustness, TruncatedBulkArrayNamesSection)
+{
+    SnapshotWriter w;
+    w.beginSection("arr");
+    for (std::uint64_t i = 0; i < 5; ++i)
+        w.u64(i);
+    w.endSection();
+    SnapshotReader r(w.serialize());
+    r.openSection("arr");
+    std::vector<std::uint64_t> out(6);
+    try {
+        r.u64Array(out.data(), out.size());
+        FAIL() << "expected SnapshotError";
+    } catch (const SnapshotError &e) {
+        EXPECT_EQ(e.section(), "arr");
+        EXPECT_NE(std::string(e.what()).find("past section end"),
+                  std::string::npos)
+            << e.what();
+    }
+    // The failed read consumed nothing; a count whose byte size
+    // overflows size_t must fail the same way, not wrap.
+    EXPECT_EQ(r.remaining(), 40u);
+    EXPECT_THROW(r.u64Array(out.data(), SIZE_MAX / 4), SnapshotError);
+    EXPECT_THROW((void)r.block(41), SnapshotError);
 }
 
 TEST(SnapshotRobustness, TruncatedPayloadNamesSection)
@@ -297,6 +500,135 @@ TEST(SnapshotRobustness, ResumedRunRequiresMatchingWarmup)
     bad.warmup = 999;
     EXPECT_THROW(resume.run(bad), std::invalid_argument);
     std::remove(path.c_str());
+}
+
+// ---------------------------------- range guards on restored state
+
+/** One bwaves core under @p cfg, snapshotted after warmup. */
+std::vector<std::uint8_t>
+warmupSnapshot(const SystemConfig &cfg)
+{
+    const std::string path = tmpPath("mutation_base");
+    Simulator sim(cfg, {pickWorkload("bwaves")});
+    RunPlan plan;
+    plan.measured = 0;
+    plan.warmup = 4000;
+    plan.snapshotAfterWarmup = path;
+    sim.run(plan);
+    auto bytes = readFile(path);
+    std::remove(path.c_str());
+    return bytes;
+}
+
+/** Reseal section @p tag of @p bytes and resume from the result. */
+void
+resumeResealed(const SystemConfig &cfg, std::vector<std::uint8_t> bytes,
+               const std::string &tag)
+{
+    resealSection(bytes, locateSection(bytes, tag));
+    const std::string path = tmpPath("mutated");
+    writeFile(path, bytes);
+    struct Remove
+    {
+        std::string path;
+        ~Remove() { std::remove(path.c_str()); }
+    } remove{path};
+    Simulator resumed(cfg, {pickWorkload("bwaves")}, path);
+}
+
+/** The edit must fail the resume with an error naming the section
+ *  and the field (@p what), not a checksum mismatch. */
+void
+expectRejected(const SystemConfig &cfg, std::vector<std::uint8_t> bytes,
+               const std::string &tag, const char *what)
+{
+    try {
+        resumeResealed(cfg, std::move(bytes), tag);
+        ADD_FAILURE() << tag << ": expected SnapshotError on " << what;
+    } catch (const SnapshotError &e) {
+        EXPECT_EQ(e.section(), tag);
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(SnapshotRangeGuards, MruWayHintPastTheSetIsRejected)
+{
+    // Lookups index tagv[set base + mruWay[set]] unchecked: a hint
+    // >= ways reads past its set (past the array on the last set)
+    // and, on a tag match, writes lines/lru out of bounds.
+    const SystemConfig cfg =
+        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kNaive);
+    const auto clean = warmupSnapshot(cfg);
+    for (const char *tag : {"c0/l1", "c0/l2", "llc/b0"}) {
+        const SectionLoc loc = locateSection(clean, tag);
+        // Cache::saveState: u32 sets, u32 ways, five u64 counters,
+        // the tag and LRU arrays (sets x ways u64 each), one MRU
+        // byte per set, then 19 bytes of metadata per line.
+        const std::size_t sets = loadLe32(&clean[loc.offset]);
+        const std::size_t ways = loadLe32(&clean[loc.offset + 4]);
+        ASSERT_EQ(loc.length, 48 + sets * ways * (16 + 19) + sets)
+            << tag;
+        const std::size_t last_hint =
+            loc.offset + 48 + sets * ways * 16 + sets - 1;
+        ASSERT_LT(clean[last_hint], ways);
+
+        auto valid = clean;
+        valid[last_hint] = static_cast<std::uint8_t>(ways - 1);
+        EXPECT_NO_THROW(resumeResealed(cfg, valid, tag)) << tag;
+
+        auto bad = clean;
+        bad[last_hint] = static_cast<std::uint8_t>(ways);
+        expectRejected(cfg, bad, tag, "MRU way hint");
+        bad[last_hint] = 0xff;
+        expectRejected(cfg, bad, tag, "MRU way hint");
+    }
+}
+
+TEST(SnapshotRangeGuards, PythiaQueueFieldsAreRangeChecked)
+{
+    // CD4 runs IPCP at L1D (pf0) and Pythia at L2C (pf1).
+    const SystemConfig cfg =
+        makeDesignConfig(CacheDesign::kCd4, PolicyKind::kAthena);
+    const auto clean = warmupSnapshot(cfg);
+    const std::string tag = "c0/pf1";
+    const SectionLoc loc = locateSection(clean, tag);
+    // PythiaPrefetcher::saveState: u32 degree, two 128 x 16 f64 Q
+    // planes, 256 queue entries {u64 f1, u64 f2, u32 action, bool
+    // rewarded, bool dropped, f64 reward}, u32 head, u32 count, then
+    // 45 bytes (eqBase, lastLine, 4 deltas, flag, RNG, histKey).
+    constexpr std::size_t kQueue = 4 + 2 * 128 * 16 * 8;
+    constexpr std::size_t kEntry = 30;
+    constexpr std::size_t kEntries = 256;
+    constexpr std::size_t kHead = kQueue + kEntries * kEntry;
+    constexpr std::size_t kCount = kHead + 4;
+    ASSERT_EQ(loc.length, kCount + 4 + 45);
+    ASSERT_LT(loadLe32(&clean[loc.offset + kHead]), kEntries);
+    ASSERT_LE(loadLe32(&clean[loc.offset + kCount]), kEntries);
+
+    auto with = [&](std::size_t field, std::uint32_t v) {
+        auto bytes = clean;
+        storeLe32(&bytes[loc.offset + field], v);
+        return bytes;
+    };
+    const auto action = [](std::size_t entry) {
+        return kQueue + entry * kEntry + 16;
+    };
+    const std::uint32_t actions = PythiaPrefetcher::numActions();
+
+    // In-range edits resume: only the range guards reject below.
+    EXPECT_NO_THROW(resumeResealed(cfg, with(kHead, kEntries - 1), tag));
+    EXPECT_NO_THROW(resumeResealed(cfg, with(kCount, kEntries), tag));
+    EXPECT_NO_THROW(
+        resumeResealed(cfg, with(action(0), actions - 1), tag));
+
+    expectRejected(cfg, with(kHead, kEntries), tag, "Pythia EQ head");
+    expectRejected(cfg, with(kCount, kEntries + 1), tag,
+                   "Pythia EQ occupancy");
+    expectRejected(cfg, with(action(0), actions), tag,
+                   "Pythia EQ action");
+    expectRejected(cfg, with(action(kEntries - 1), 0xffffffffu), tag,
+                   "Pythia EQ action");
 }
 
 // -------------------------------------------- randomized round-trip
