@@ -34,18 +34,6 @@
  *    multi-core hosts; a 1-CPU box reports <= 1x by construction
  *    (results are bit-identical either way — see
  *    tests/test_parallel_step.cc).
- *  - Inference-batch A/B: the policy-heavy epoch500 cases (where
- *    the Athena/POPET decision loop dominates) additionally run
- *    batched-vs-scalar inference (SystemConfig::batchedInference
- *    on vs off, interleaved best-of) and the JSON gains an
- *    "inference_batch" block with per-case wall times and the
- *    speedup. Results are bit-identical either way — see
- *    tests/test_inference_batch.cc.
- *  - SIMD backend A/B: the same epoch500 cases run the batched
- *    plane with the auto-dispatched backend (AVX2 where available)
- *    vs the forced portable-scalar backend, and the JSON gains a
- *    "simd" block with per-case wall times and the speedup.
- *    Backends are bit-identical — see tests/test_simd_kernels.cc.
  *
  * Knobs:
  *  - ATHENA_SIM_INSTR      measured instructions per run (default 2M)
@@ -73,7 +61,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/simd.hh"
 #include "sim/simulator.hh"
 #include "sim/system_config.hh"
 #include "trace/trace_file.hh"
@@ -312,8 +299,8 @@ main(int argc, char **argv)
         acfg.cores = 4;
         cases.push_back({"mc4_cd1_athena_mix", acfg, mix4, 4});
         // Policy-heavy multi-core: 500-instruction epochs on every
-        // core — the agent + predictor inference load the batched
-        // SoA plane targets, under multi-core stepping.
+        // core put the agent + predictor decision loop under
+        // multi-core stepping.
         SystemConfig ecfg = acfg;
         ecfg.epochInstructions = 500;
         cases.push_back(
@@ -508,118 +495,6 @@ main(int argc, char **argv)
         par_ab.push_back(row);
     }
 
-    // Batched-vs-scalar inference A/B over the policy-heavy
-    // epoch500 cases: the config knob is flipped directly
-    // (batchedInference on vs off) and the two sides interleave —
-    // batched, scalar, batched, scalar — with best-of-repeats per
-    // side, so host drift cancels out. Both sides produce
-    // bit-identical simulation results (the equivalence suite
-    // enforces it); only wall clock differs.
-    struct InfAb
-    {
-        std::string name;
-        unsigned cores = 1;
-        double batchedWall = 0.0;
-        double scalarWall = 0.0;
-    };
-    std::vector<InfAb> inf_ab;
-    for (const Case &c : cases) {
-        if (c.name.find("epoch500") == std::string::npos)
-            continue;
-        Case batched = c;
-        batched.cfg.batchedInference = true;
-        Case scalar = c;
-        scalar.cfg.batchedInference = false;
-        InfAb row;
-        row.name = c.name;
-        row.cores = c.cfg.cores;
-        // Alternate which side runs first in each interleaved pair:
-        // the first run after a Simulator teardown sees colder
-        // allocator/page state, and pinning one side to that slot
-        // reads as a systematic (phantom) regression on hosts with
-        // slow page reclaim.
-        for (unsigned r = 0; r < repeats; ++r) {
-            double b, s;
-            if (r & 1) {
-                s = runCase(scalar, instr, warmup).wallSeconds;
-                b = runCase(batched, instr, warmup).wallSeconds;
-            } else {
-                b = runCase(batched, instr, warmup).wallSeconds;
-                s = runCase(scalar, instr, warmup).wallSeconds;
-            }
-            if (r == 0 || b < row.batchedWall)
-                row.batchedWall = b;
-            if (r == 0 || s < row.scalarWall)
-                row.scalarWall = s;
-        }
-        std::cout << "inference A/B " << row.name << ": batched "
-                  << row.batchedWall << " s, scalar "
-                  << row.scalarWall << " s -> "
-                  << (row.batchedWall > 0.0
-                          ? row.scalarWall / row.batchedWall
-                          : 0.0)
-                  << "x\n";
-        inf_ab.push_back(row);
-    }
-
-    // SIMD backend A/B over the same epoch500 cases: both sides run
-    // the batched plane; side A dispatches kernels through the
-    // auto-resolved backend (AVX2 where the CPU has it), side B
-    // forces the portable scalar backend via forceBackend() between
-    // Simulator constructions. Same interleave/first-slot-alternation
-    // discipline as the inference A/B; results are bit-identical
-    // across backends (tests/test_simd_kernels.cc), only wall clock
-    // differs. On pre-AVX2 hosts both sides resolve to scalar and
-    // the block honestly reports ~1x.
-    struct SimdAb
-    {
-        std::string name;
-        unsigned cores = 1;
-        double wideWall = 0.0;
-        double scalarWall = 0.0;
-    };
-    std::vector<SimdAb> simd_ab;
-    auto run_with_backend = [&](const Case &c, bool force_scalar) {
-        if (force_scalar)
-            simd::forceBackend(simd::Backend::kScalar);
-        else
-            simd::clearForcedBackend();
-        double wall = runCase(c, instr, warmup).wallSeconds;
-        simd::clearForcedBackend();
-        return wall;
-    };
-    for (const Case &c : cases) {
-        if (c.name.find("epoch500") == std::string::npos)
-            continue;
-        Case batched = c;
-        batched.cfg.batchedInference = true;
-        SimdAb row;
-        row.name = c.name;
-        row.cores = c.cfg.cores;
-        for (unsigned r = 0; r < repeats; ++r) {
-            double w, s;
-            if (r & 1) {
-                s = run_with_backend(batched, true);
-                w = run_with_backend(batched, false);
-            } else {
-                w = run_with_backend(batched, false);
-                s = run_with_backend(batched, true);
-            }
-            if (r == 0 || w < row.wideWall)
-                row.wideWall = w;
-            if (r == 0 || s < row.scalarWall)
-                row.scalarWall = s;
-        }
-        std::cout << "simd A/B " << row.name << ": "
-                  << simd::backendName(simd::activeBackend()) << " "
-                  << row.wideWall << " s, scalar " << row.scalarWall
-                  << " s -> "
-                  << (row.wideWall > 0.0
-                          ? row.scalarWall / row.wideWall
-                          : 0.0)
-                  << "x\n";
-        simd_ab.push_back(row);
-    }
     // A-side aggregates from per-case bests, mirroring what the
     // baseline side gets below. Like-for-like means intersecting
     // case *names*: a baseline binary whose matrix is smaller than
@@ -746,38 +621,6 @@ main(int argc, char **argv)
              << "\"speedup\": "
              << (p.parWall > 0.0 ? p.seqWall / p.parWall : 0.0)
              << "}" << (i + 1 < par_ab.size() ? "," : "") << "\n";
-    }
-    json << "  ]},\n";
-    // Same naming discipline as parallel_stepping: no "accesses" /
-    // "wall_seconds" keys, so the baseline parser ignores the rows.
-    json << "  \"inference_batch\": {\"cases\": [\n";
-    for (std::size_t i = 0; i < inf_ab.size(); ++i) {
-        const InfAb &p = inf_ab[i];
-        json << "    {\"name\": \"" << p.name << "\", "
-             << "\"cores\": " << p.cores << ", "
-             << "\"batched_wall_s\": " << p.batchedWall << ", "
-             << "\"scalar_wall_s\": " << p.scalarWall << ", "
-             << "\"speedup\": "
-             << (p.batchedWall > 0.0 ? p.scalarWall / p.batchedWall
-                                     : 0.0)
-             << "}" << (i + 1 < inf_ab.size() ? "," : "") << "\n";
-    }
-    json << "  ]},\n";
-    // SIMD backend A/B rows, same naming discipline (no "accesses"
-    // / "wall_seconds" keys). "backend" records what side A's auto
-    // dispatch resolved to on this host.
-    json << "  \"simd\": {\"backend\": \""
-         << simd::backendName(simd::activeBackend())
-         << "\", \"cases\": [\n";
-    for (std::size_t i = 0; i < simd_ab.size(); ++i) {
-        const SimdAb &p = simd_ab[i];
-        json << "    {\"name\": \"" << p.name << "\", "
-             << "\"cores\": " << p.cores << ", "
-             << "\"wide_wall_s\": " << p.wideWall << ", "
-             << "\"scalar_backend_wall_s\": " << p.scalarWall << ", "
-             << "\"speedup\": "
-             << (p.wideWall > 0.0 ? p.scalarWall / p.wideWall : 0.0)
-             << "}" << (i + 1 < simd_ab.size() ? "," : "") << "\n";
     }
     json << "  ]},\n";
     json << "  \"cases\": [\n";

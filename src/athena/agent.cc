@@ -96,21 +96,16 @@ AthenaAgent::onEpochEnd(const EpochStats &stats)
     // shadow of it.
     unsigned action;
     bool exploratory = cfg.epsilon > 0.0 && rng.chance(cfg.epsilon);
-    if (exploratory) {
+    if (exploratory)
         action = static_cast<unsigned>(
             rng.below(qvstore.params().actions));
-    } else {
-        // Greedy selection reads Q-values: drain any triples
-        // buffered over preceding exploratory epochs first.
-        flushTraining();
+    else
         action = qvstore.argmax(state);
-    }
 
-    // Reward the previous action and buffer its SARSA triple for
-    // the batched update pass. The previous action ran during the
-    // epoch summarized by `stats`, so the reward compares this
-    // epoch against the one before it. The cold-start priming call
-    // (empty stats) never rewards.
+    // Reward the previous action and apply the SARSA update. The
+    // previous action ran during the epoch summarized by `stats`,
+    // so the reward compares this epoch against the one before it.
+    // The cold-start priming call (empty stats) never rewards.
     if (havePrev && prevStats.instructions > 0 &&
         stats.instructions > 0) {
         double reward = cfg.ipcRewardOnly
@@ -118,23 +113,13 @@ AthenaAgent::onEpochEnd(const EpochStats &stats)
                             : compositeReward.compute(prevStats,
                                                       stats);
         lastRewardValue = reward;
-        pendingTrain.push_back(
-            {prevState, prevAction, reward, state, action});
-        if (!exploratory) {
-            flushTraining();
-            // Re-select in case the update changed the greedy
-            // choice.
+        qvstore.update(prevState, prevAction, reward, state, action);
+        // Re-select in case the update changed the greedy choice.
+        if (!exploratory)
             action = qvstore.argmax(state);
-        } else if (!cfg.batchedTraining) {
-            // Scalar training plane: apply the triple immediately
-            // (a batch of one) instead of carrying it to the next
-            // greedy epoch.
-            flushTraining();
-        }
     }
 
     if (traceEnabled()) {
-        flushTraining(); // the dump reads live Q-values
         std::fprintf(stderr,
                      "athena: s=%03x prev_a=%u r=%+.3f next_a=%u%s "
                      "q=[%+.2f %+.2f %+.2f %+.2f] cyc=%llu "
@@ -164,19 +149,9 @@ AthenaAgent::onEpochEnd(const EpochStats &stats)
 }
 
 void
-AthenaAgent::flushTraining()
-{
-    if (pendingTrain.empty())
-        return;
-    qvstore.updateBatch(pendingTrain.data(), pendingTrain.size());
-    pendingTrain.clear();
-}
-
-void
 AthenaAgent::reset()
 {
     qvstore.reset();
-    pendingTrain.clear();
     rng = Rng(cfg.seed);
     havePrev = false;
     prevStats = EpochStats{};
@@ -198,17 +173,6 @@ AthenaAgent::saveState(SnapshotWriter &w) const
     w.f64(lastRewardValue);
     for (std::uint64_t c : actionCounts)
         w.u64(c);
-    // Triples still buffered for the next batched update pass
-    // (non-empty only when the last epoch before the snapshot was
-    // exploratory) — a resumed run must drain the same batch.
-    w.u32(static_cast<std::uint32_t>(pendingTrain.size()));
-    for (const QVStore::TrainTriple &t : pendingTrain) {
-        w.u32(t.s);
-        w.u32(t.a);
-        w.f64(t.reward);
-        w.u32(t.sNext);
-        w.u32(t.aNext);
-    }
 }
 
 void
@@ -219,18 +183,13 @@ AthenaAgent::restoreState(SnapshotReader &r)
     havePrev = r.boolean();
     readEpochStats(r, prevStats);
     prevState = r.u32();
-    prevAction = r.u32();
+    // The next epoch's SARSA update indexes the Q-table with it.
+    prevAction = static_cast<unsigned>(
+        r.bounded(r.u32(), qvstore.params().actions,
+                  "Athena previous action"));
     lastRewardValue = r.f64();
     for (std::uint64_t &c : actionCounts)
         c = r.u64();
-    pendingTrain.assign(r.u32(), QVStore::TrainTriple{});
-    for (QVStore::TrainTriple &t : pendingTrain) {
-        t.s = r.u32();
-        t.a = r.u32();
-        t.reward = r.f64();
-        t.sNext = r.u32();
-        t.aNext = r.u32();
-    }
 }
 
 } // namespace athena

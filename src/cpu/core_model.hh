@@ -153,29 +153,6 @@ class CoreModel
     /** Current ROB occupancy (invariant: <= params().robSize). */
     unsigned robOccupancy() const { return robCount; }
 
-    /** Workload records pulled per nextBatch() refill (~8 KB). */
-    static constexpr unsigned kBatchCapacity = 256;
-
-    /**
-     * Monotone count of record-buffer refills — the change key the
-     * batched inference collectors watch: a new value means a new
-     * window of records is available through windowRecords(). Not
-     * serialized (a restored core restarts from 0; collectors key
-     * off inequality, so they re-collect on first use either way).
-     */
-    std::uint64_t refillSequence() const { return refills; }
-
-    /**
-     * The current record window: windowRecords()[windowBase()
-     * .. windowLen()) are the live records of the current buffer —
-     * pending or mid-span; earlier positions have executed (and
-     * after a snapshot restore were never materialized). Stable
-     * until refillSequence() changes.
-     */
-    const TraceRecord *windowRecords() const { return batchBuf.data(); }
-    unsigned windowBase() const { return batchBase; }
-    unsigned windowLen() const { return batchLen; }
-
     /** IPC over the whole run so far. */
     double ipc() const
     {
@@ -198,6 +175,9 @@ class CoreModel
     void restoreState(SnapshotReader &r);
 
   private:
+    /** Workload records pulled per nextBatch() refill (~8 KB). */
+    static constexpr unsigned kBatchCapacity = 256;
+
     /**
      * The register-resident slice of the core state (dispatch,
      * retire, ring and MSHR cursors), loaded before a batch span
@@ -274,15 +254,6 @@ class CoreModel
     unsigned batchLen = 0;
     /** Latched once nextBatch() returns short: end-of-stream. */
     bool streamDone = false;
-
-    /** Refill count (see refillSequence()). */
-    std::uint64_t refills = 0;
-    /**
-     * First live record of the current buffer: 0 after a refill;
-     * the restored batchPos after a snapshot restore (positions
-     * before it were executed pre-snapshot and never rematerialize).
-     */
-    unsigned batchBase = 0;
 
     CoreCounters stats;
 };

@@ -300,11 +300,15 @@ class ChanneledDram
     /** Hard cap on the channel count (shard-id budget). */
     static constexpr unsigned kMaxChannels = 32;
 
-    /** Where an enqueued request landed: channel + queue index. */
+    /**
+     * Where an enqueued request landed: channel + queue index.
+     * Trivial on purpose: the simulator's per-trigger fill batch
+     * holds an array of these on the stack (see PrefetchFillBatch).
+     */
     struct Ticket
     {
-        std::uint16_t channel = 0;
-        std::uint32_t index = 0;
+        std::uint16_t channel;
+        std::uint32_t index;
     };
 
     /**

@@ -5,7 +5,6 @@
 
 #include "ocp/popet.hh"
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 
@@ -31,7 +30,7 @@ PopetPredictor::featureIndices(std::uint64_t pc, Addr addr) const
         pm.pc = pc;
         pm.valid = true;
         pm.pcIdx = static_cast<std::uint16_t>(mix64(pc) % kTableSize);
-        pm.pcTerm = pcHashTerm(pc);
+        pm.pcTerm = 0x9e3779b97f4a7c15ull + (pc << 6) + (pc >> 2);
     }
     if (page != memoPage) {
         memoPage = page;
@@ -48,164 +47,6 @@ PopetPredictor::featureIndices(std::uint64_t pc, Addr addr) const
         memoPageIdx,
         static_cast<std::uint16_t>(mix64(lastPcsHash) % kTableSize),
     };
-}
-
-void
-PopetPredictor::pureIndicesInto(std::uint64_t pc, Addr addr,
-                                std::uint16_t *out)
-{
-    unsigned line_off = pageLineOffset(addr);
-    unsigned byte_off =
-        static_cast<unsigned>(addr & (kLineBytes - 1));
-    Addr page = pageNumber(addr);
-    std::uint64_t pc_term = pcHashTerm(pc);
-    out[0] = static_cast<std::uint16_t>(mix64(pc) % kTableSize);
-    out[1] = static_cast<std::uint16_t>(
-        mix64(pc ^ (line_off + pc_term)) % kTableSize);
-    out[2] = static_cast<std::uint16_t>(
-        mix64(pc ^ (byte_off + pc_term)) % kTableSize);
-    out[3] = static_cast<std::uint16_t>(mix64(page) % kTableSize);
-}
-
-void
-PopetPredictor::pureFeatureIndicesBatch(const std::uint64_t *pcs,
-                                        const Addr *addrs,
-                                        unsigned n,
-                                        std::uint16_t *idx)
-{
-    for (unsigned i = 0; i < n; ++i)
-        pureIndicesInto(pcs[i], addrs[i], idx + i * kPureFeatures);
-}
-
-void
-PopetPredictor::pureFeatureIndicesBatch(simd::Backend backend,
-                                        const std::uint64_t *pcs,
-                                        const Addr *addrs,
-                                        unsigned n,
-                                        std::uint16_t *idx)
-{
-    static_assert(kPureFeatures == 4,
-                  "the SIMD kernel packs four indices per access");
-    static_assert((kTableSize & (kTableSize - 1)) == 0,
-                  "lane masking requires a power-of-two table");
-    if (backend == simd::Backend::kScalar) {
-        pureFeatureIndicesBatch(pcs, addrs, n, idx);
-        return;
-    }
-    simd::popetPureIndicesBatch(backend, pcs, addrs, n,
-                                kTableSize - 1, idx);
-}
-
-void
-PopetPredictor::pureFeatureIndicesBatch(const std::uint64_t *pcs,
-                                        const Addr *addrs,
-                                        unsigned n,
-                                        std::uint16_t *idx,
-                                        PureBatchMemo &memo)
-{
-    for (unsigned i = 0; i < n; ++i)
-        pureIndicesMemoInto(pcs[i], addrs[i], memo,
-                            idx + i * kPureFeatures);
-}
-
-void
-PopetPredictor::pureFeatureIndicesBatch(simd::Backend backend,
-                                        const std::uint64_t *pcs,
-                                        const Addr *addrs,
-                                        unsigned n,
-                                        std::uint16_t *idx,
-                                        PureBatchMemo &memo)
-{
-    if (backend == simd::Backend::kScalar) {
-        pureFeatureIndicesBatch(pcs, addrs, n, idx, memo);
-        return;
-    }
-    // Scalar memo pass fills features 0/3 and stages the offset-mix
-    // arguments; the backend kernel then mixes features 1/2 four
-    // lanes at a time. The span matches the plane's chunk size so
-    // one plane chunk is one kernel call.
-    constexpr unsigned kSpan = 32;
-    std::uint64_t args[2 * kSpan];
-    std::uint64_t mixed[2 * kSpan];
-    for (unsigned base = 0; base < n; base += kSpan) {
-        const unsigned cnt = std::min(n - base, kSpan);
-        for (unsigned j = 0; j < cnt; ++j) {
-            const std::uint64_t pc = pcs[base + j];
-            const Addr addr = addrs[base + j];
-            auto &pe = memo.pcs[(pc >> 4) &
-                                (PureBatchMemo::kPcEntries - 1)];
-            if (!pe.valid || pe.pc != pc) {
-                pe.pc = pc;
-                pe.valid = true;
-                pe.term = pcHashTerm(pc);
-                pe.idx = static_cast<std::uint16_t>(mix64(pc) %
-                                                    kTableSize);
-            }
-            const Addr page = pageNumber(addr);
-            if (!memo.pageValid || page != memo.page) {
-                memo.page = page;
-                memo.pageValid = true;
-                memo.pageIdx = static_cast<std::uint16_t>(
-                    mix64(page) % kTableSize);
-            }
-            std::uint16_t *out = idx + (base + j) * kPureFeatures;
-            out[0] = pe.idx;
-            out[3] = memo.pageIdx;
-            const unsigned line_off = pageLineOffset(addr);
-            const unsigned byte_off =
-                static_cast<unsigned>(addr & (kLineBytes - 1));
-            args[2 * j] = pc ^ (line_off + pe.term);
-            args[2 * j + 1] = pc ^ (byte_off + pe.term);
-        }
-        simd::mix64Batch(backend, args, 2 * cnt, mixed);
-        for (unsigned j = 0; j < cnt; ++j) {
-            std::uint16_t *out = idx + (base + j) * kPureFeatures;
-            out[1] = static_cast<std::uint16_t>(
-                mixed[2 * j] & (kTableSize - 1));
-            out[2] = static_cast<std::uint16_t>(
-                mixed[2 * j + 1] & (kTableSize - 1));
-        }
-    }
-}
-
-void
-PopetPredictor::featureIndicesBatch(const std::uint64_t *pcs,
-                                    const Addr *addrs, unsigned n,
-                                    std::uint16_t *idx) const
-{
-    std::uint64_t hist = lastPcsHash;
-    for (unsigned i = 0; i < n; ++i) {
-        std::uint16_t *out = idx + i * kFeatures;
-        pureIndicesInto(pcs[i], addrs[i], out);
-        out[kFeatures - 1] =
-            static_cast<std::uint16_t>(mix64(hist) % kTableSize);
-        // Advance the rolling hash past this access, exactly as
-        // predict() folds it after each prediction.
-        hist = hashCombine(hist, pcs[i]);
-    }
-}
-
-bool
-PopetPredictor::predictPrepared(std::uint64_t pc, Addr addr,
-                                const std::uint16_t *pure_idx)
-{
-    int partial = 0;
-    for (unsigned f = 0; f < kPureFeatures; ++f)
-        partial += weights[f][pure_idx[f]].raw();
-    std::uint16_t hist_idx = static_cast<std::uint16_t>(
-        mix64(lastPcsHash) % kTableSize);
-    int s = partial + weights[kFeatures - 1][hist_idx].raw();
-    bool off_chip = s >= kActivationThreshold;
-    lastPcsHash = hashCombine(lastPcsHash, pc);
-    for (unsigned f = 0; f < kPureFeatures; ++f)
-        memoIdx[f] = pure_idx[f];
-    memoIdx[kFeatures - 1] = static_cast<std::uint16_t>(
-        mix64(lastPcsHash) % kTableSize);
-    memoPartialSum = partial;
-    memoPc = pc;
-    memoAddr = addr;
-    memoValid = true;
-    return off_chip;
 }
 
 int

@@ -5,7 +5,6 @@
 
 #include "prefetch/ipcp.hh"
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -38,7 +37,7 @@ IpcpPrefetcher::observeImpl(const PrefetchTrigger &trigger,
     gsLastLine = line;
 
     // --- per-IP classification --------------------------------
-    std::uint64_t idx = ipIndexOf(trigger.pc);
+    std::uint64_t idx = mix64(trigger.pc) % kIpEntries;
     auto tag = static_cast<std::uint16_t>((trigger.pc >> 6) & 0x1ff);
     IpEntry &e = ipTable[idx];
 
@@ -140,37 +139,12 @@ IpcpPrefetcher::observeImpl(const PrefetchTrigger &trigger,
 }
 
 void
-IpcpPrefetcher::prepareTriggerBatch(const std::uint64_t *pcs,
-                                    unsigned n)
-{
-    if (!batchedHashing)
-        return;
-    std::uint64_t hashes[32];
-    for (unsigned i = 0; i < n; i += 32) {
-        unsigned chunk = std::min(32u, n - i);
-        simd::mix64Batch(backend, pcs + i, chunk, hashes);
-        for (unsigned j = 0; j < chunk; ++j) {
-            std::uint64_t pc = pcs[i + j];
-            IdxMemoEntry &m =
-                idxMemo[(pc >> 2) & (kIdxMemoSize - 1)];
-            m.pc = pc;
-            m.idx = static_cast<std::uint16_t>(hashes[j] %
-                                               kIpEntries);
-            m.valid = true;
-        }
-    }
-}
-
-void
 IpcpPrefetcher::reset()
 {
     for (auto &e : ipTable)
         e = IpEntry{};
     for (auto &c : cspt)
         c = CsptEntry{};
-    // Pure cache: clearing can never change results, it just keeps
-    // restored runs from carrying a previous run's working set.
-    idxMemo.fill(IdxMemoEntry{});
     gsLastLine = 0;
     gsRun = 0;
     gsDirection = 1;
@@ -220,9 +194,6 @@ IpcpPrefetcher::restoreState(SnapshotReader &r)
     gsLastLine = r.u64();
     gsRun = r.i32();
     gsDirection = r.i32();
-    // Not serialized: the index memo is a pure cache and is
-    // rebuilt on demand after restore.
-    idxMemo.fill(IdxMemoEntry{});
 }
 
 } // namespace athena

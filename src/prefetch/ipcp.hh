@@ -23,9 +23,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/hashing.hh"
 #include "common/sat_counter.hh"
-#include "common/simd.hh"
 #include "prefetch/prefetcher.hh"
 
 namespace athena
@@ -41,26 +39,6 @@ class IpcpPrefetcher final : public Prefetcher
 
     void observeImpl(const PrefetchTrigger &trigger,
                  CandidateVec &out) override;
-
-    /**
-     * Route the trigger path's per-IP mix64 through the
-     * direct-mapped index memo (on — the batched-inference plane's
-     * mode, fed ahead of time by prepareTriggerBatch) or recompute
-     * per trigger (off — the pre-batching scalar behavior). The
-     * memo is a key-validated pure cache, so results are
-     * bit-identical either way; the simulator slaves this to the
-     * batched-inference knob, exactly like Pythia's fold memo.
-     */
-    void setBatchedHashing(bool on) { batchedHashing = on; }
-
-    /**
-     * Batched signature kernel: hash the window-collected load PCs
-     * wide (mix64 over four lanes on the AVX2 backend) and install
-     * their IP-table indices into the memo, so the per-trigger
-     * observe path reduces to a validated probe. Pure priming —
-     * never changes results, only where the hash work happens.
-     */
-    void prepareTriggerBatch(const std::uint64_t *pcs, unsigned n);
 
     void reset() override;
 
@@ -111,38 +89,6 @@ class IpcpPrefetcher final : public Prefetcher
 
     std::array<IpEntry, kIpEntries> ipTable;
     std::array<CsptEntry, kCsptEntries> cspt;
-
-    /** Key-validated pure cache of mix64(pc) % kIpEntries. */
-    struct IdxMemoEntry
-    {
-        std::uint64_t pc = 0;
-        std::uint16_t idx = 0;
-        bool valid = false;
-    };
-    static constexpr unsigned kIdxMemoSize = 16; // power of two
-    std::array<IdxMemoEntry, kIdxMemoSize> idxMemo{};
-    /** See setBatchedHashing(). */
-    bool batchedHashing = false;
-    /** SIMD backend for prepareTriggerBatch, latched at
-     *  construction. */
-    simd::Backend backend = simd::activeBackend();
-
-    /** The trigger path's IP-table index: memo probe when batched
-     *  hashing is on, direct mix64 otherwise. */
-    std::uint64_t
-    ipIndexOf(std::uint64_t pc)
-    {
-        if (!batchedHashing)
-            return mix64(pc) % kIpEntries;
-        IdxMemoEntry &m = idxMemo[(pc >> 2) & (kIdxMemoSize - 1)];
-        if (!m.valid || m.pc != pc) {
-            m.pc = pc;
-            m.idx = static_cast<std::uint16_t>(mix64(pc) %
-                                               kIpEntries);
-            m.valid = true;
-        }
-        return m.idx;
-    }
 
     /** Global stream detector state. */
     Addr gsLastLine = 0;

@@ -96,9 +96,8 @@ PythiaPrefetcher::drainOldest()
 std::uint64_t
 PythiaPrefetcher::deltaSeqHash(std::uint32_t hist_key)
 {
-    // Bytes unpack oldest-first (high to low), matching the fold
-    // order over the oldest-first deltaHistory array; the int8
-    // cast recovers each clamped delta exactly (|delta| <= 64).
+    // Bytes unpack oldest-first (high to low); the int8 cast
+    // recovers each clamped delta exactly (|delta| <= 64).
     std::uint64_t seq = 0;
     for (int shift = 24; shift >= 0; shift -= 8) {
         auto d = static_cast<std::int8_t>((hist_key >> shift) &
@@ -108,41 +107,6 @@ PythiaPrefetcher::deltaSeqHash(std::uint32_t hist_key)
                               static_cast<std::int64_t>(d)));
     }
     return seq;
-}
-
-std::uint64_t
-PythiaPrefetcher::seqHashLookup(std::uint32_t key)
-{
-    if (!batchedHashing)
-        return deltaSeqHash(key);
-    SeqMemoEntry &memo = seqMemo[key & (kSeqMemoSize - 1)];
-    if (memo.valid && memo.key == key)
-        return memo.seq;
-    std::uint64_t seq = deltaSeqHash(key);
-    memo = {key, true, seq};
-    return seq;
-}
-
-void
-PythiaPrefetcher::deltaSeqHashBatch(const std::uint32_t *keys,
-                                    unsigned n, std::uint64_t *out)
-{
-    if (backend != simd::Backend::kScalar && batchedHashing &&
-        n > 1) {
-        // Wide path: fold every key four lanes at a time, then
-        // install the memo entries in batch order. The fold is
-        // pure, so out[] matches the probe path bitwise; the final
-        // memo state matches too — each direct-mapped slot ends
-        // with its last writer's {key, seq}, and on a would-be hit
-        // the unconditional install rewrites the identical value.
-        simd::deltaSeqFoldBatch(backend, keys, n, out);
-        for (unsigned i = 0; i < n; ++i)
-            seqMemo[keys[i] & (kSeqMemoSize - 1)] = {keys[i], true,
-                                                     out[i]};
-        return;
-    }
-    for (unsigned i = 0; i < n; ++i)
-        out[i] = seqHashLookup(keys[i]);
 }
 
 void
@@ -156,17 +120,12 @@ PythiaPrefetcher::observeImpl(const PrefetchTrigger &trigger,
                                  -64, 64));
     lastLine = line;
 
-    // Feature 1: PC xor last delta. Feature 2: delta sequence —
-    // a pure fold over the packed history key, served through the
-    // shared memo + fold kernel (deltaSeqHashBatch's per-key step;
-    // the key's bytes mirror the oldest-first deltaHistory array).
+    // Feature 1: PC xor last delta. Feature 2: delta sequence, a
+    // pure fold over the packed history key.
     std::uint64_t f1 =
         hashCombine(trigger.pc, static_cast<std::uint64_t>(
                                     static_cast<std::int64_t>(delta)));
-    std::uint64_t f2 = seqHashLookup(histKey);
-    std::rotate(deltaHistory.begin(), deltaHistory.begin() + 1,
-                deltaHistory.end());
-    deltaHistory.back() = delta;
+    std::uint64_t f2 = deltaSeqHash(histKey);
     histKey = (histKey << 8) |
               (static_cast<std::uint32_t>(delta) & 0xffu);
 
@@ -303,9 +262,7 @@ PythiaPrefetcher::reset()
     eqCount = 0;
     eqBase = 0;
     lastLine = 0;
-    deltaHistory.fill(0);
     highBandwidth = false;
-    seqMemo.fill(SeqMemoEntry{});
     histKey = 0;
 }
 
@@ -333,8 +290,6 @@ PythiaPrefetcher::saveState(SnapshotWriter &w) const
     w.u32(eqCount);
     w.u64(eqBase);
     w.u64(lastLine);
-    for (int d : deltaHistory)
-        w.i32(d);
     w.boolean(highBandwidth);
     w.u64(rng.rawState());
     w.u32(histKey);
@@ -368,14 +323,9 @@ PythiaPrefetcher::restoreState(SnapshotReader &r)
         r.bounded(r.u32(), kEqCapacity + 1, "Pythia EQ occupancy"));
     eqBase = r.u64();
     lastLine = r.u64();
-    for (int &d : deltaHistory)
-        d = r.i32();
     highBandwidth = r.boolean();
     rng.setRawState(r.u64());
     histKey = r.u32();
-    // The memo is keyed by histKey and rebuilt lazily; clear it so
-    // stale pre-restore entries cannot alias.
-    seqMemo.fill(SeqMemoEntry{});
 }
 
 } // namespace athena

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "common/rng.hh"
-#include "common/simd.hh"
 #include "prefetch/prefetcher.hh"
 
 namespace athena
@@ -66,35 +65,12 @@ class PythiaPrefetcher final : public Prefetcher
     }
 
     /**
-     * Unpack a packed 4-delta history key (deltas clamped to
-     * [-64, 64], one signed byte each, newest in the low byte) and
-     * fold it into the delta-sequence feature hash (f2) —
-     * bit-identical to the scalar fold over the oldest-first
-     * deltaHistory array, whose order the key's byte order mirrors.
+     * Delta-sequence feature hash (f2): unpack a packed 4-delta
+     * history key (deltas clamped to [-64, 64], one signed byte
+     * each, newest in the low byte) and fold the deltas oldest
+     * first.
      */
     static std::uint64_t deltaSeqHash(std::uint32_t hist_key);
-
-    /**
-     * Batched delta-sequence probe: resolve @p n packed history
-     * keys to their feature hashes through the direct-mapped memo
-     * (hits) and the fold kernel (misses), filling memo entries
-     * exactly as n sequential probes would. The live observe path
-     * is the batch-of-1 shim over the same kernel (like
-     * Dram::serve over the queue drain).
-     */
-    void deltaSeqHashBatch(const std::uint32_t *keys, unsigned n,
-                           std::uint64_t *out);
-
-    /**
-     * Route the observe path's delta-sequence hashing through the
-     * direct-mapped memo (on, the PR 9 inference-plane default) or
-     * recompute the fold per trigger (off — the pre-batching
-     * scalar behavior). Bit-identical either way (the memo is a
-     * key-validated pure cache); the simulator slaves this to the
-     * batched-inference knob so the bench A/B compares the whole
-     * plane against the faithful scalar engine.
-     */
-    void setBatchedHashing(bool on) { batchedHashing = on; }
 
     // --- introspection for tests -----------------------------
     double qValue(std::uint64_t f1, std::uint64_t f2,
@@ -152,10 +128,6 @@ class PythiaPrefetcher final : public Prefetcher
      *  reward. */
     void drainOldest();
 
-    /** One key through the memo + fold kernel (the observe path's
-     *  shim over deltaSeqHashBatch's per-key step). */
-    std::uint64_t seqHashLookup(std::uint32_t key);
-
     std::array<std::array<double, kActions>, kRows> plane1;
     std::array<std::array<double, kActions>, kRows> plane2;
 
@@ -177,7 +149,6 @@ class PythiaPrefetcher final : public Prefetcher
     }
 
     Addr lastLine = 0;
-    std::array<int, 4> deltaHistory{};
     bool highBandwidth = false;
     Rng rng;
 
@@ -189,28 +160,9 @@ class PythiaPrefetcher final : public Prefetcher
      */
     std::uint64_t epsilonThreshold = Rng::chanceThreshold(kEpsilon);
 
-    /**
-     * Memo of the delta-sequence feature hash (f2), a pure fold
-     * over the four history deltas. Deltas are clamped to [-64, 64],
-     * so the whole history packs into one 32-bit key (4 signed
-     * bytes) maintained incrementally; a small direct-mapped table
-     * keyed by it skips the four-hash fold whenever the recent
-     * delta pattern repeats — which is almost always on striding
-     * workloads. Pure memoization: results are bit-identical.
-     */
-    struct SeqMemoEntry
-    {
-        std::uint32_t key = 0;
-        bool valid = false;
-        std::uint64_t seq = 0;
-    };
-    static constexpr unsigned kSeqMemoSize = 256; // power of two
-    std::array<SeqMemoEntry, kSeqMemoSize> seqMemo{};
-    /** See setBatchedHashing(). */
-    bool batchedHashing = true;
-    /** SIMD backend for the batch fold, latched at construction. */
-    simd::Backend backend = simd::activeBackend();
-    std::uint32_t histKey = 0; ///< Packed deltaHistory (newest low).
+    /** The last four line deltas, clamped to [-64, 64], one
+     *  signed byte each (newest in the low byte). */
+    std::uint32_t histKey = 0;
 };
 
 } // namespace athena

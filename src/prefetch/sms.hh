@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/simd.hh"
 #include "prefetch/prefetcher.hh"
 
 namespace athena
@@ -35,27 +34,6 @@ class SmsPrefetcher final : public Prefetcher
 
     void observeImpl(const PrefetchTrigger &trigger,
                  CandidateVec &out) override;
-
-    /**
-     * Route the trigger path's region-key mix64 through the
-     * direct-mapped key memo (on — the batched-inference plane's
-     * mode, fed ahead of time by prepareTriggerBatch) or recompute
-     * per trigger (off — the pre-batching scalar behavior).
-     * Key-validated pure cache: bit-identical either way. The
-     * simulator slaves this to the batched-inference knob, exactly
-     * like Pythia's fold memo.
-     */
-    void setBatchedHashing(bool on) { batchedHashing = on; }
-
-    /**
-     * Batched region-key kernel: form (pc, trigger-offset) keys for
-     * the window-collected loads, hash them wide (mix64 over four
-     * lanes on the AVX2 backend), and install {key, hash} into the
-     * memo so per-trigger observes reduce to a validated probe.
-     * Pure priming — never changes results.
-     */
-    void prepareTriggerBatch(const std::uint64_t *pcs,
-                             const Addr *addrs, unsigned n);
 
     void reset() override;
 
@@ -99,27 +77,9 @@ class SmsPrefetcher final : public Prefetcher
         return (pc << 6) ^ trigger_offset;
     }
 
-    /** Key-validated pure cache of mix64(key) for trigger keys. */
-    struct KeyMemoEntry
-    {
-        std::uint64_t key = 0;
-        std::uint64_t hash = 0;
-        bool valid = false;
-    };
-    static constexpr unsigned kKeyMemoSize = 32; // power of two
-
-    /** One key through the memo (batched-hashing mode only). */
-    std::uint64_t keyHashLookup(std::uint64_t key);
-
     std::array<AgtEntry, kAgtEntries> agt;
     std::array<PhtEntry, kPhtEntries> pht;
     std::uint64_t lruClock = 0;
-    std::array<KeyMemoEntry, kKeyMemoSize> keyMemo{};
-    /** See setBatchedHashing(). */
-    bool batchedHashing = false;
-    /** SIMD backend for prepareTriggerBatch, latched at
-     *  construction. */
-    simd::Backend backend = simd::activeBackend();
 };
 
 } // namespace athena

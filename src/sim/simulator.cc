@@ -9,7 +9,6 @@
 #include <array>
 #include <cassert>
 #include <cmath>
-#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -21,13 +20,8 @@
 #include <vector>
 
 #include "athena/agent.hh"
-#include "common/simd.hh"
 #include "coord/simple.hh"
 #include "coord/tlp.hh"
-#include "ocp/popet.hh"
-#include "prefetch/ipcp.hh"
-#include "prefetch/pythia.hh"
-#include "prefetch/sms.hh"
 #include "sim/step_picker.hh"
 #include "sim/thread_pool.hh"
 #include "snapshot/snapshot.hh"
@@ -40,23 +34,6 @@ namespace
 
 /** Slot marker for fills that must not generate feedback. */
 constexpr std::uint8_t kNoFeedbackSlot = 0xff;
-
-/**
- * Process-wide batched-inference override: ATHENA_INFERENCE_BATCH=0
- * forces the scalar path regardless of
- * SystemConfig::batchedInference (the bench A/B driver flips the
- * config knob directly; the env knob is the operator's escape
- * hatch). Results are bit-identical either way.
- */
-bool
-inferenceBatchEnvEnabled()
-{
-    static const bool enabled = [] {
-        const char *v = std::getenv("ATHENA_INFERENCE_BATCH");
-        return !(v && *v == '0');
-    }();
-    return enabled;
-}
 
 /**
  * Provisional readyAt for lines filled while their DRAM request is
@@ -87,15 +64,8 @@ makePolicy(const SystemConfig &cfg, unsigned num_prefetchers)
         return std::make_unique<HpacPolicy>(cfg.hpac);
       case PolicyKind::kMab:
         return std::make_unique<MabPolicy>(num_prefetchers, cfg.mab);
-      case PolicyKind::kAthena: {
-        // The plane knob governs the whole learning stack: with
-        // batching off the agent applies SARSA triples one at a
-        // time, the faithful pre-batching scalar engine.
-        AthenaConfig ac = cfg.athena;
-        ac.batchedTraining =
-            cfg.batchedInference && inferenceBatchEnvEnabled();
-        return std::make_unique<AthenaAgent>(ac);
-      }
+      case PolicyKind::kAthena:
+        return std::make_unique<AthenaAgent>(cfg.athena);
     }
     throw std::logic_error("unknown policy kind");
 }
@@ -165,6 +135,15 @@ struct Simulator::PrefetchFillBatch
         bool fillsL1;
     };
 
+    // The rule above holds for every nested type (Target,
+    // ChanneledDram::Ticket) and for the CandidateVec buffer on the
+    // same frame.
+    static_assert(std::is_trivially_default_constructible_v<Entry>,
+                  "the fill batch must not initialize per trigger");
+    static_assert(
+        std::is_trivially_default_constructible_v<PrefetchCandidate>,
+        "CandidateVec must not initialize per trigger");
+
     /** One trigger window is at most slots x CandidateVec capacity
      *  candidates; a full batch mid-window just drains early, which
      *  is semantics-preserving (patches commute and the controller
@@ -186,65 +165,6 @@ struct Simulator::PrefetchFillBatch
 
     void push(const Entry &e) { buf[count++] = e; }
 };
-
-/**
- * Window-collected POPET feature columns — the batched SoA
- * inference plane of one core. The plane tracks the core's current
- * record batch (refillSequence()); on the first predicted load of
- * a fresh window one branchless pass builds the whole demand-load
- * position column (simd::collectStridedByteEq over the kind-byte
- * stream), and the four (pc, addr)-pure feature-table indices are
- * computed in SoA chunks (PopetPredictor::pureFeatureIndicesBatch
- * with the persistent memo) as the serve cursor advances. Windows
- * the predictor never touches (OCP gating off — Athena epochs can
- * gate whole windows) cost nothing, and hashing stays lazy: at
- * most one chunk of speculative feature work past the served
- * cursor. doLoad serves each load's prepared row by cursor +
- * (pc, addr) match against the record buffer and hashes only the
- * history feature at access time.
- *
- * The plane is a pure cache: a cursor mismatch (e.g. the first
- * window after a mid-buffer snapshot restore, or loads skipped
- * while OCP gating was off) scans forward for the next matching
- * row and falls back to the scalar predictDemand path when the
- * window runs dry — and because the indices are pure functions of
- * (pc, addr), even a coincidental match yields exact indices, so
- * every path is bit-identical to the scalar plane. Core-private
- * state: touched only from the owning core's stepping thread.
- */
-struct OcpBatchPlane
-{
-    static constexpr unsigned kCapacity = CoreModel::kBatchCapacity;
-    /** Lazy feature-compute granularity (SoA kernel batch size). */
-    static constexpr unsigned kChunk = 32;
-    std::uint64_t seq = ~0ull; ///< refillSequence() last seen.
-    unsigned count = 0;        ///< Load rows in the window's column.
-    unsigned cursor = 0;       ///< Next row to serve.
-    unsigned computed = 0;     ///< Rows with feature indices ready.
-    /** Record-buffer position of each discovered load (the rows'
-     *  (pc, addr) live in the core's record window; no copies). */
-    std::array<std::uint16_t, kCapacity> loadPos;
-    std::array<std::uint16_t,
-               kCapacity * PopetPredictor::kPureFeatures>
-        idx;
-    /** Persistent pure cache for the chunk kernel's hash work
-     *  (pc/page terms repeat across windows); never affects
-     *  results. */
-    PopetPredictor::PureBatchMemo memo;
-    /** SIMD backend for the chunk hash kernels, latched when the
-     *  plane is (re)constructed (the load-column build always uses
-     *  the branchless scalar collect — see popetPreparedRow). */
-    simd::Backend backend = simd::activeBackend();
-};
-
-/** The plane's strided scans read TraceRecord::kind as a raw byte
- *  column; the AVX2 gather reads the 3 bytes after it, which the
- *  fixed 24-byte record layout keeps in-bounds for every row. */
-static_assert(std::is_standard_layout_v<TraceRecord>,
-              "kind-byte scans need a fixed record layout");
-static_assert(offsetof(TraceRecord, kind) + 4 <=
-                  sizeof(TraceRecord),
-              "kind-byte scans read 4 bytes per record");
 
 /** All per-core state. */
 struct Simulator::CoreCtx
@@ -282,26 +202,6 @@ struct Simulator::CoreCtx
     CoreCounters epochStartCounters;
     std::uint64_t lastBusBusy = 0; ///< Global bus-busy snapshot.
     DramCounters lastDram;         ///< Global DRAM count snapshot.
-
-    /**
-     * Non-null iff the batched inference plane drives this core's
-     * OCP: the concrete POPET behind `ocp`, resolved once at
-     * construction (kind() tag check) when
-     * SystemConfig::batchedInference and the env override allow it.
-     * Null means doLoad takes the scalar predictDemand path.
-     */
-    PopetPredictor *popet = nullptr;
-    OcpBatchPlane ocpPlane;
-
-    /**
-     * Non-null iff the plane also feeds the prefetcher trigger
-     * path: when a chunk of load rows is materialized, the same
-     * gathered (pc, addr) stream primes IPCP's signature memo and
-     * SMS's region-key memo, so their per-trigger hashing becomes
-     * a validated probe. Resolved at construction alongside popet.
-     */
-    IpcpPrefetcher *ipcp = nullptr;
-    SmsPrefetcher *sms = nullptr;
 
     /** Prefetch-induced LLC pollution tracker (section 5.2.3). */
     BloomFilter pollutionBloom{4096, 2};
@@ -367,19 +267,6 @@ Simulator::Simulator(const SystemConfig &config,
         }
         if (ctx->prefetchers.size() > kMaxPrefetchers)
             throw std::invalid_argument("too many prefetchers");
-        const bool plane_on =
-            cfg.batchedInference && inferenceBatchEnvEnabled();
-        for (auto &pf : ctx->prefetchers) {
-            if (auto *py =
-                    dynamic_cast<PythiaPrefetcher *>(pf.get()))
-                py->setBatchedHashing(plane_on);
-            else if (auto *ip =
-                         dynamic_cast<IpcpPrefetcher *>(pf.get()))
-                ip->setBatchedHashing(plane_on);
-            else if (auto *sm =
-                         dynamic_cast<SmsPrefetcher *>(pf.get()))
-                sm->setBatchedHashing(plane_on);
-        }
         for (unsigned s = 0; s < ctx->prefetchers.size(); ++s) {
             unsigned lvl = ctx->prefetchers[s]->level() ==
                                    CacheLevel::kL1D
@@ -390,21 +277,6 @@ Simulator::Simulator(const SystemConfig &config,
         }
 
         ctx->ocp = makeOcp(cfg.ocp);
-        if (plane_on && ctx->ocp &&
-            ctx->ocp->kind() == OcpKind::kPopet) {
-            ctx->popet =
-                static_cast<PopetPredictor *>(ctx->ocp.get());
-            // The plane's chunk gather doubles as the prefetcher
-            // trigger-path feed (prepareTriggerBatch).
-            for (auto &pf : ctx->prefetchers) {
-                if (auto *ip =
-                        dynamic_cast<IpcpPrefetcher *>(pf.get()))
-                    ctx->ipcp = ip;
-                else if (auto *sm =
-                             dynamic_cast<SmsPrefetcher *>(pf.get()))
-                    ctx->sms = sm;
-            }
-        }
         ctx->policy = makePolicy(
             cfg, static_cast<unsigned>(ctx->prefetchers.size()));
         ctx->policyObservesDemands =
@@ -710,85 +582,6 @@ Simulator::issuePrefetch(unsigned core, unsigned slot,
     ++cc.window.pfIssued[slot];
 }
 
-const std::uint16_t *
-Simulator::popetPreparedRow(CoreCtx &cc, std::uint64_t pc, Addr addr)
-{
-    OcpBatchPlane &pl = cc.ocpPlane;
-    const TraceRecord *rec = cc.core->windowRecords();
-    if (pl.seq != cc.core->refillSequence()) {
-        // Fresh record batch: one branchless pass over the kind
-        // bytes builds the window's whole load-position column.
-        // Eager beats the lazy chunked scan here — per-chunk call
-        // and resync overhead exceeded the ~1 op/record column
-        // build, and windows the predictor never touches still pay
-        // nothing (this runs on the first predicted load only).
-        pl.seq = cc.core->refillSequence();
-        pl.cursor = 0;
-        pl.computed = 0;
-        const auto *kinds =
-            reinterpret_cast<const unsigned char *>(rec) +
-            offsetof(TraceRecord, kind);
-        unsigned scan = cc.core->windowBase();
-        // Deliberately the scalar kernel regardless of pl.backend:
-        // a stride-24 byte scan gives AVX2 nothing to chew on but a
-        // gather, and BM_SimdStridedCollect measures the gather at
-        // ~0.7x of the branchless loop on gather-slow hosts. Both
-        // implementations stay dispatchable (tests and benches pin
-        // their equivalence); the hash kernels below do honor the
-        // plane's backend.
-        pl.count = simd::collectStridedByteEq(
-            simd::Backend::kScalar, kinds,
-            static_cast<unsigned>(sizeof(TraceRecord)), &scan,
-            cc.core->windowLen(),
-            static_cast<unsigned char>(InstrKind::kLoad),
-            pl.loadPos.data(), OcpBatchPlane::kCapacity);
-    }
-    // The demand stream visits the window's loads in order, so the
-    // cursor row matches on the first probe in the steady state.
-    // On mismatch (post-restore window, or loads skipped while OCP
-    // gating was off) scan forward: skipped rows were either
-    // already served or never will be, and any (pc, addr) match is
-    // exact because the indices are pure.
-    for (;;) {
-        if (pl.cursor == pl.count)
-            return nullptr;
-        const unsigned i = pl.cursor++;
-        const TraceRecord &r = rec[pl.loadPos[i]];
-        if (r.pc != pc || r.addr != addr)
-            continue;
-        if (i >= pl.computed) {
-            // Materialize the next chunk of pure feature rows in
-            // one SoA pass: gather the rows' (pc, addr) once and
-            // run the backend's hash kernel over the whole chunk.
-            // Rows the cursor already skipped ([computed, i)) can
-            // never be served — the cursor only advances — so the
-            // chunk starts at i.
-            const unsigned end =
-                std::min(pl.count, i + OcpBatchPlane::kChunk);
-            const unsigned cnt = end - i;
-            std::uint64_t pcs[OcpBatchPlane::kChunk];
-            Addr addrs[OcpBatchPlane::kChunk];
-            for (unsigned j = 0; j < cnt; ++j) {
-                const TraceRecord &c = rec[pl.loadPos[i + j]];
-                pcs[j] = c.pc;
-                addrs[j] = c.addr;
-            }
-            PopetPredictor::pureFeatureIndicesBatch(
-                pl.backend, pcs, addrs, cnt,
-                &pl.idx[i * PopetPredictor::kPureFeatures],
-                pl.memo);
-            // Same gathered stream primes the prefetcher trigger
-            // path (pure memo feed; results unchanged).
-            if (cc.ipcp)
-                cc.ipcp->prepareTriggerBatch(pcs, cnt);
-            if (cc.sms)
-                cc.sms->prepareTriggerBatch(pcs, addrs, cnt);
-            pl.computed = end;
-        }
-        return &pl.idx[i * PopetPredictor::kPureFeatures];
-    }
-}
-
 Cycle
 Simulator::doLoad(unsigned core, std::uint64_t pc, Addr addr,
                   Cycle issue, bool &l1_miss)
@@ -797,38 +590,9 @@ Simulator::doLoad(unsigned core, std::uint64_t pc, Addr addr,
     Addr line = lineNumber(addr);
 
     // Off-chip prediction happens as soon as the address is known.
-    // With the batched inference plane active (cc.popet non-null),
-    // the four (pc, addr)-pure feature indices come precomputed
-    // from the window-collected SoA columns; only the PC-history
-    // feature is hashed here. Bit-identical to the scalar path.
     bool ocp_pred = false;
-    if (cc.ocp && cc.decision.ocpEnable) {
-        const std::uint16_t *prep = nullptr;
-        if (cc.popet) {
-            // Steady-state fast path, inline: the plane tracks the
-            // current window, the cursor row is already
-            // materialized, and it matches this access. Everything
-            // else (stale window, chunk boundary, skipped rows)
-            // takes the out-of-line scan in popetPreparedRow.
-            OcpBatchPlane &pl = cc.ocpPlane;
-            if (pl.seq == cc.core->refillSequence() &&
-                pl.cursor < pl.computed) {
-                const TraceRecord &r =
-                    cc.core->windowRecords()[pl.loadPos[pl.cursor]];
-                if (r.pc == pc && r.addr == addr) {
-                    prep = &pl.idx[pl.cursor *
-                                   PopetPredictor::kPureFeatures];
-                    ++pl.cursor;
-                } else {
-                    prep = popetPreparedRow(cc, pc, addr);
-                }
-            } else {
-                prep = popetPreparedRow(cc, pc, addr);
-            }
-        }
-        ocp_pred = prep ? cc.popet->predictPrepared(pc, addr, prep)
-                        : cc.ocp->predictDemand(pc, addr);
-    }
+    if (cc.ocp && cc.decision.ocpEnable)
+        ocp_pred = cc.ocp->predictDemand(pc, addr);
 
     bool went_offchip = false;
     Cycle completion;
@@ -1724,11 +1488,6 @@ Simulator::restoreFrom(SnapshotReader &r)
         cc.ocpCorrect = r.u64();
         cc.llcMissesTotal = r.u64();
         cc.llcMissLatencyTotal = r.u64();
-        // The OCP batch plane is a pure cache keyed by the core's
-        // refill sequence (which restarts at 0 on restore); drop it
-        // so the first post-resume load re-collects from the
-        // restored record window.
-        cc.ocpPlane = OcpBatchPlane{};
     }
 
     resumed = true;

@@ -272,17 +272,6 @@ class Simulator
                        std::uint64_t trigger_pc, Cycle cycle,
                        PrefetchFillBatch &batch);
     void drainPrefetchFills(CoreCtx &cc, PrefetchFillBatch &batch);
-
-    // Batched SoA inference plane (window-collected POPET feature
-    // columns; see the OcpBatchPlane doc in simulator.cc).
-    /** The prepared pure-feature row for this demand load, or null
-     *  when the plane has no matching row (scalar fallback);
-     *  discovers load rows and materializes feature chunks lazily
-     *  (doLoad inlines the steady-state fast path). */
-    const std::uint16_t *popetPreparedRow(CoreCtx &cc,
-                                          std::uint64_t pc,
-                                          Addr addr);
-
     void handleLlcEviction(unsigned core, const CacheEviction &ev);
     void dispatchPrefetchFeedbackUsed(unsigned core,
                                       const CacheLookup &res,

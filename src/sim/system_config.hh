@@ -85,26 +85,6 @@ struct SystemConfig
     CoreParams core;
     std::uint64_t seed = 7;
 
-    /**
-     * Batched SoA inference plane: collect each pulled record
-     * batch's demand-load rows into SoA columns and precompute the
-     * (pc, addr)-pure POPET feature indices in one vectorizable
-     * kernel, serving per-load predictions from the prepared
-     * columns. Results are bit-identical to the scalar path by
-     * construction (the knob exists for A/B perf comparison and as
-     * a belt-and-braces escape hatch), so like `label` it is
-     * excluded from configKey(). Env override:
-     * ATHENA_INFERENCE_BATCH=0 forces it off process-wide.
-     *
-     * The plane's kernels are additionally SIMD-widened: the
-     * backend (portable scalar vs. runtime-dispatched AVX2) is
-     * selected once per construction via simd::activeBackend(),
-     * overridable process-wide with ATHENA_SIMD=scalar|avx2|auto.
-     * Backends are bit-identical (see tests/test_simd_kernels.cc);
-     * this knob still governs whether the plane runs at all.
-     */
-    bool batchedInference = true;
-
     /** Number of prefetcher slots in use. */
     unsigned numPrefetchers() const;
 

@@ -55,8 +55,11 @@ namespace athena
  *  v2: sharded shared-memory plane — per-shard `llc/b<i>` /
  *  `dram/ch<j>` sections and shard geometry in `meta`.
  *  v3: section checksums are XXH64 (were byte-serial FNV-1a);
- *  payload bytes are unchanged. */
-constexpr std::uint16_t kSnapshotVersion = 3;
+ *  payload bytes are unchanged.
+ *  v4: the Athena agent section drops its buffered SARSA-triple
+ *  list, and Pythia sections drop the unpacked delta history (the
+ *  packed history key alone carries it). */
+constexpr std::uint16_t kSnapshotVersion = 4;
 /** Width of the section tag field (NUL-padded). */
 constexpr std::size_t kSnapshotTagBytes = 24;
 /** Snapshot file magic. */

@@ -3,13 +3,17 @@
  * Pythia-specific tests: the RL loop must learn to prefetch an
  * accurate pattern, learn to hold back on random traffic, and — the
  * regression that mattered for Athena integration — dropped
- * (gated/filtered) decisions must not erase learned Q-values.
+ * (gated/filtered) decisions must not erase learned Q-values. The
+ * delta-sequence feature hash must equal a fold over the unpacked
+ * deltas.
  */
 
+#include <array>
 #include <cstdint>
 #include <gtest/gtest.h>
 #include <vector>
 
+#include "common/hashing.hh"
 #include "common/rng.hh"
 #include "prefetch/pythia.hh"
 
@@ -156,6 +160,30 @@ TEST(Pythia, ResetClearsQValues)
     unsigned after_reset = runStream(pf, 500, true);
     unsigned from_fresh = runStream(fresh, 500, true);
     EXPECT_EQ(after_reset, from_fresh);
+}
+
+TEST(Pythia, DeltaSeqHashMatchesManualFold)
+{
+    Rng rng(0x77);
+    for (int trial = 0; trial < 200; ++trial) {
+        // Oldest-first history of four clamped deltas, packed the
+        // way observe() packs them (newest in the low byte).
+        std::array<int, 4> hist;
+        std::uint32_t key = 0;
+        for (int &d : hist) {
+            d = static_cast<int>(rng.next() % 129) - 64;
+            key = (key << 8) |
+                  (static_cast<std::uint32_t>(d) & 0xffu);
+        }
+        std::uint64_t want = 0;
+        for (int d : hist) {
+            want = hashCombine(want,
+                               static_cast<std::uint64_t>(
+                                   static_cast<std::int64_t>(d)));
+        }
+        EXPECT_EQ(PythiaPrefetcher::deltaSeqHash(key), want)
+            << "trial " << trial;
+    }
 }
 
 } // namespace

@@ -282,12 +282,13 @@ TEST(SnapshotRobustness, BadMagicIsFileLevelError)
 
 TEST(SnapshotRobustness, WrongVersionIsRejected)
 {
-    // v2 files carry FNV-1a checksums: they are refused, not read.
+    // v2 files carry FNV-1a checksums and v3 files the older agent
+    // and Pythia layouts: they are refused, not read.
     SnapshotWriter w;
     w.beginSection("s");
     w.u64(1);
     w.endSection();
-    for (unsigned version : {2u, kSnapshotVersion + 1u}) {
+    for (unsigned version : {2u, 3u, kSnapshotVersion + 1u}) {
         auto bytes = w.serialize();
         bytes[4] = static_cast<std::uint8_t>(version);
         bytes[5] = static_cast<std::uint8_t>(version >> 8);
@@ -596,13 +597,13 @@ TEST(SnapshotRangeGuards, PythiaQueueFieldsAreRangeChecked)
     // PythiaPrefetcher::saveState: u32 degree, two 128 x 16 f64 Q
     // planes, 256 queue entries {u64 f1, u64 f2, u32 action, bool
     // rewarded, bool dropped, f64 reward}, u32 head, u32 count, then
-    // 45 bytes (eqBase, lastLine, 4 deltas, flag, RNG, histKey).
+    // 29 bytes (eqBase, lastLine, flag, RNG, histKey).
     constexpr std::size_t kQueue = 4 + 2 * 128 * 16 * 8;
     constexpr std::size_t kEntry = 30;
     constexpr std::size_t kEntries = 256;
     constexpr std::size_t kHead = kQueue + kEntries * kEntry;
     constexpr std::size_t kCount = kHead + 4;
-    ASSERT_EQ(loc.length, kCount + 4 + 45);
+    ASSERT_EQ(loc.length, kCount + 4 + 29);
     ASSERT_LT(loadLe32(&clean[loc.offset + kHead]), kEntries);
     ASSERT_LE(loadLe32(&clean[loc.offset + kCount]), kEntries);
 
@@ -629,6 +630,49 @@ TEST(SnapshotRangeGuards, PythiaQueueFieldsAreRangeChecked)
                    "Pythia EQ action");
     expectRejected(cfg, with(action(kEntries - 1), 0xffffffffu), tag,
                    "Pythia EQ action");
+}
+
+TEST(SnapshotRangeGuards, AthenaPrevActionIsRangeChecked)
+{
+    // The first epoch after resume applies the SARSA update of the
+    // restored previous action, which indexes the Q-table with it.
+    // Short epochs put several rewarded epochs inside the warmup.
+    SystemConfig cfg =
+        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kAthena);
+    cfg.epochInstructions = 1000;
+    const auto clean = warmupSnapshot(cfg);
+    const std::string tag = "c0/policy";
+    const SectionLoc loc = locateSection(clean, tag);
+    // AthenaAgent::saveState ends with u32 prevState, u32
+    // prevAction, f64 last reward and four u64 action counts.
+    const std::size_t prev_action = loc.offset + loc.length - 44;
+    const std::uint32_t actions = cfg.athena.qv.actions;
+    ASSERT_LT(loadLe32(&clean[prev_action]), actions);
+
+    auto with = [&](std::uint32_t v) {
+        auto bytes = clean;
+        storeLe32(&bytes[prev_action], v);
+        return bytes;
+    };
+
+    // Control: an in-range edit resumes and runs past the first
+    // post-resume epoch.
+    {
+        auto bytes = with(actions - 1);
+        resealSection(bytes, loc);
+        const std::string path = tmpPath("prev_action_valid");
+        writeFile(path, bytes);
+        Simulator resumed(cfg, {pickWorkload("bwaves")}, path);
+        std::remove(path.c_str());
+        RunPlan plan;
+        plan.measured = 2 * cfg.epochInstructions;
+        plan.warmup = 4000;
+        EXPECT_GE(resumed.run(plan).cores[0].instructions,
+                  plan.measured);
+    }
+    expectRejected(cfg, with(actions), tag, "Athena previous action");
+    expectRejected(cfg, with(0xffffffffu), tag,
+                   "Athena previous action");
 }
 
 // -------------------------------------------- randomized round-trip

@@ -3,8 +3,9 @@
  * Snapshot-resume equivalence: resuming from a post-warmup snapshot
  * must reproduce the straight-through run bit-identically — the
  * full SimResult, every counter — across the five pinned golden
- * configurations, finite trace replay that exhausts mid-stream, and
- * a 4-core mix combining synthetic and trace-replay cores.
+ * configurations, a cut inside a core's record batch, finite trace
+ * replay that exhausts mid-stream, and a 4-core mix combining
+ * synthetic and trace-replay cores.
  */
 
 #include <cstdint>
@@ -180,6 +181,19 @@ TEST(SnapshotResume, Cd3TlpStream)
 {
     checkGoldenConfig(CacheDesign::kCd3, PolicyKind::kTlp, "bwaves",
                       "cd3_tlp_stream");
+}
+
+TEST(SnapshotResume, CutInsideRecordBatchAthenaEpoch500)
+{
+    // Warmup 1300 is not a multiple of the core's 256-record refill,
+    // so the snapshot lands mid record batch: the restored core
+    // resumes from a partial buffer. 500-instruction epochs also
+    // close RL epochs inside that buffer.
+    SystemConfig cfg =
+        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kAthena);
+    cfg.epochInstructions = 500;
+    checkResumeEquivalence(cfg, {pickWorkload("bwaves")}, 40000, 1300,
+                           "mid_record_batch");
 }
 
 // --------------------------------------------- finite trace replay
