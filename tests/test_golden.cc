@@ -186,6 +186,58 @@ TEST(GoldenResult, Cd3TlpStream)
                  kCd3TlpStream);
 }
 
+// Sharded prefetch path: 4 cores of CD3 (two L2C prefetchers) at
+// half the default bandwidth over 2 LLC banks and 2 DRAM channels,
+// so trigger windows often send several prefetches to DRAM across
+// both channels. Captured while each trigger window's off-chip
+// prefetches were queued and drained together. One fingerprint per
+// core, then the DRAM totals {rowHits, rowMisses, busBusyCycles}.
+constexpr Golden kCd3NaiveSharded[4] = {
+    {60000u, 254078u, 21580u, 3015u, 743u, 2u, 6899u, 0u, 0u,
+     1377u, 2304u, 41841u, 10397u},
+    {60000u, 3636436u, 13408u, 2394u, 1493u, 3199u, 26818309u, 738u,
+     0u, 15050u, 2304u, 41841u, 10397u},
+    {60000u, 3318908u, 16926u, 3013u, 1820u, 2828u, 9055020u, 2793u,
+     40u, 11882u, 2304u, 41841u, 10397u},
+    {60000u, 3001760u, 18034u, 3025u, 1131u, 1883u, 9080428u, 877u,
+     99u, 10513u, 2304u, 41841u, 10397u},
+};
+constexpr std::uint64_t kCd3NaiveShardedDram[3] = {36703u, 17839u,
+                                                   8726720u};
+
+TEST(GoldenResult, Cd3NaiveShardedFourCore)
+{
+    SystemConfig cfg = makeManyCoreConfig(4, CacheDesign::kCd3,
+                                          PolicyKind::kNaive);
+    cfg.bandwidthGBps = 1.6;
+    cfg.llcBanks = 2;
+    cfg.dramChannels = 2;
+    Simulator sim(cfg, {pickWorkload("bwaves"), pickWorkload("mcf"),
+                        pickWorkload("xalancbmk"),
+                        pickWorkload("gromacs")});
+    RunPlan plan(kInstr, kWarmup);
+    // Sequential engine; the shard suites pin the parallel engine
+    // to it.
+    plan.stepThreads = 1;
+    const SimResult res = sim.run(plan);
+    const char *names[4] = {"core 0", "core 1", "core 2", "core 3"};
+    for (unsigned c = 0; c < 4; ++c)
+        checkOrPrint(names[c], fingerprint(res, c),
+                     kCd3NaiveSharded[c]);
+    const std::uint64_t dram[3] = {res.dram.rowHits,
+                                   res.dram.rowMisses,
+                                   res.dram.busBusyCycles};
+    if (printMode()) {
+        std::printf("    // dram\n    {%lluu, %lluu, %lluu};\n",
+                    static_cast<unsigned long long>(dram[0]),
+                    static_cast<unsigned long long>(dram[1]),
+                    static_cast<unsigned long long>(dram[2]));
+        return;
+    }
+    for (unsigned i = 0; i < 3; ++i)
+        EXPECT_EQ(dram[i], kCd3NaiveShardedDram[i]) << "dram " << i;
+}
+
 TEST(GoldenResult, RepeatRunsAreBitIdentical)
 {
     // The golden values above are only meaningful if a single build
