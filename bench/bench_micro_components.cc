@@ -324,9 +324,9 @@ dramBenchLines()
 void
 BM_DramServeScalar(benchmark::State &state)
 {
-    // 32 requests per iteration through the scalar serve() shim
-    // (enqueue + drain-of-1 each): the per-request service cost
-    // the demand-miss path pays.
+    // 32 requests per iteration through serve(): the per-request
+    // service cost every off-chip demand, OCP, store and prefetch
+    // request pays.
     athena::Dram dram{athena::DramParams{}};
     auto lines = dramBenchLines();
     std::size_t i = 0;
@@ -341,26 +341,6 @@ BM_DramServeScalar(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()) * 32);
 }
 BENCHMARK(BM_DramServeScalar);
-
-void
-BM_DramDrainBatch(benchmark::State &state)
-{
-    // The same 32 requests enqueued and drained in one batched
-    // kernel call — the trigger-window fast path.
-    athena::Dram dram{athena::DramParams{}};
-    auto lines = dramBenchLines();
-    std::size_t i = 0;
-    for (auto _ : state) {
-        for (unsigned k = 0; k < 32; ++k) {
-            dram.enqueue(0, lines[i++ & 4095],
-                         athena::AccessType::kPrefetch);
-        }
-        benchmark::DoNotOptimize(dram.drain().back());
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) * 32);
-}
-BENCHMARK(BM_DramDrainBatch);
 
 void
 BM_SimulatorInstruction(benchmark::State &state)
@@ -451,7 +431,7 @@ BM_SharedTurnSpin(benchmark::State &state)
     for (auto _ : state) {
         stepper.beginStep(0, now++);
         stepper.ensureTurn(0, 0);
-        benchmark::DoNotOptimize(stepper.grantedThisStep(0));
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()));

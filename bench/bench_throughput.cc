@@ -308,9 +308,8 @@ main(int argc, char **argv)
     }
     // DRAM-pressure case: two L2C prefetchers (CD3) x 4 cores at a
     // bandwidth-starved 1.6 GB/s/core — prefetch bursts pile onto
-    // the shared controller queue, so the batched drain kernel is
-    // the dominant service path. This is the guard for the
-    // request-queue refactor of the memory hierarchy.
+    // the shared data bus, so off-chip prefetch service is the
+    // dominant DRAM path.
     {
         SystemConfig cfg =
             makeDesignConfig(CacheDesign::kCd3, PolicyKind::kNaive);

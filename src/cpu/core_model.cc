@@ -339,11 +339,15 @@ CoreModel::restoreState(SnapshotReader &r)
     r.expectU32(cfg.l1Mshrs, "core MSHR count");
     dispatchCycle = r.u64();
     dispatchSlots = r.u32();
-    robHead = r.u32();
-    robCount = r.u32();
+    // The ROB ring and MSHR list index the arena unchecked.
+    robHead = static_cast<unsigned>(
+        r.bounded(r.u32(), cfg.robSize, "core ROB head"));
+    robCount = static_cast<unsigned>(
+        r.bounded(r.u32(), cfg.robSize + 1ull, "core ROB count"));
     lastRetireCycle = r.u64();
     retireSlots = r.u32();
-    mshrCount = r.u32();
+    mshrCount = static_cast<unsigned>(
+        r.bounded(r.u32(), cfg.l1Mshrs + 1ull, "core MSHR count"));
     prevLoadComplete = r.u64();
     frontier = r.u64();
     stats.instructions = r.u64();

@@ -106,7 +106,6 @@ Cache::fill(const CacheRef &r, Cycle now, Cycle ready_at,
         if (tags[w] == r.key) {
             // Refill of a resident line: refresh metadata only.
             stamps[w] = ++lruClock;
-            ev.filledWay = static_cast<std::uint8_t>(w);
             return ev;
         }
         if (have_invalid)
@@ -141,7 +140,6 @@ Cache::fill(const CacheRef &r, Cycle now, Cycle ready_at,
     victim->readyAt = ready_at;
     stamps[victim_w] = ++lruClock;
     mruWay[setIndex(r.line)] = static_cast<std::uint8_t>(victim_w);
-    ev.filledWay = static_cast<std::uint8_t>(victim_w);
     if (is_prefetch)
         ++statPrefetchFills;
     (void)now;
@@ -235,13 +233,6 @@ BankedLlc::BankedLlc(const CacheParams &total_params,
     banks.reserve(decode.count());
     for (std::uint64_t b = 0; b < decode.count(); ++b)
         banks.emplace_back(per_bank);
-}
-
-void
-BankedLlc::reset()
-{
-    for (Cache &b : banks)
-        b.reset();
 }
 
 std::uint64_t

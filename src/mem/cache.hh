@@ -67,10 +67,6 @@ struct CacheEviction
     bool evictedPfFromDram = false;
     /** The fill that caused this eviction was itself a prefetch. */
     bool causedByPrefetch = false;
-    /** Way the line landed in (or already occupied on a resident
-     *  refill) — lets deferred-completion patches address the line
-     *  by index instead of re-scanning the set (patchReadyAt). */
-    std::uint8_t filledWay = 0;
 };
 
 /**
@@ -181,29 +177,6 @@ class Cache
     {
         return fill(ref(line_num), now, ready_at, is_prefetch,
                     pf_slot, pf_meta, pf_from_dram);
-    }
-
-    /**
-     * Deliver the completion cycle of a fill whose data-arrival
-     * time was not yet known at fill() time (batched DRAM service:
-     * the line is inserted eagerly with a provisional readyAt, the
-     * real cycle is patched in when the controller queue drains —
-     * see Simulator's prefetch fill batching). Addressed by the
-     * coordinates of the fill (set base + CacheEviction::filledWay
-     * + packed key), so the patch is one tag compare and a store —
-     * no set scan. Touches nothing but the line's readyAt: no LRU,
-     * MRU-hint, or statistics change. A line evicted since the
-     * fill fails the tag check and is skipped silently — its
-     * readyAt would have died with the eviction under scalar
-     * service too.
-     */
-    void
-    patchReadyAt(std::size_t set_base, unsigned way,
-                 std::uint64_t key, Cycle ready_at)
-    {
-        const std::size_t idx = set_base + way;
-        if (tagv[idx] == key)
-            lines[idx].readyAt = ready_at;
     }
 
     /** Invalidate a single line if present. */
@@ -384,15 +357,6 @@ class BankedLlc
                 decode.globalLine(ev.evictedLine, r.bank);
         return ev;
     }
-
-    void
-    patchReadyAt(unsigned bank_idx, std::size_t set_base,
-                 unsigned way, std::uint64_t key, Cycle ready_at)
-    {
-        banks[bank_idx].patchReadyAt(set_base, way, key, ready_at);
-    }
-
-    void reset();
 
     /** Total-LLC parameters (capacity, latency) as configured. */
     const CacheParams &params() const { return total; }

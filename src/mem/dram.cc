@@ -1,7 +1,6 @@
 /**
  * @file
- * DRAM channel implementation: request-queue controller with a
- * batched drain kernel.
+ * DRAM channel implementation.
  */
 
 #include "mem/dram.hh"
@@ -83,15 +82,11 @@ Dram::Dram(const DramParams &params) : cfg(params)
             1);
         bankMask = bankCount - 1;
     }
-    qArrival.resize(64);
-    qLine.resize(64);
-    qType.resize(64);
-    qDone.resize(64);
     reset();
 }
 
 Cycle
-Dram::serveOne(Cycle arrival, Addr line_num, AccessType type)
+Dram::serve(Cycle arrival, Addr line_num, AccessType type)
 {
     unsigned bank;
     Addr row;
@@ -111,13 +106,11 @@ Dram::serveOne(Cycle arrival, Addr line_num, AccessType type)
     if (b.openRow == row) {
         column_ready = bank_free;
         b.busyUntil = column_ready + tCcdCycles;
-        ++window.rowHits;
         ++total.rowHits;
     } else {
         column_ready = bank_free + 2 * tCycles; // tRP + tRCD
         b.openRow = row;
         b.busyUntil = bank_free + 4 * tCycles;  // tRC
-        ++window.rowMisses;
         ++total.rowMisses;
     }
 
@@ -126,174 +119,20 @@ Dram::serveOne(Cycle arrival, Addr line_num, AccessType type)
     const Cycle done = transfer_start + lineOccupancy;
     busNextFree = done;
 
-    window.busBusyCycles += lineOccupancy;
     total.busBusyCycles += lineOccupancy;
     switch (type) {
       case AccessType::kDemandLoad:
       case AccessType::kDemandStore:
-        ++window.demandRequests;
         ++total.demandRequests;
         break;
       case AccessType::kPrefetch:
-        ++window.prefetchRequests;
         ++total.prefetchRequests;
         break;
       case AccessType::kOcp:
-        ++window.ocpRequests;
         ++total.ocpRequests;
         break;
     }
     return done;
-}
-
-template <bool Shift>
-void
-Dram::serviceBatch(std::size_t n)
-{
-    // One fused pass in enqueue order: each request's bank/row is
-    // decoded exactly once, inline (the decode mode selects the
-    // loop instantiation, so the body is branchless on it). Bank
-    // state is pulled into a local copy on first touch and written
-    // back once per drain, so a row-hit streak (or any revisit of
-    // a bank inside the batch) never re-touches the bank array;
-    // the shared-bus cursor and all counters live in registers for
-    // the whole batch.
-    //
-    // Column accesses pipeline within an open row (tCCD), so
-    // row-hit streams are limited only by the shared data bus. A
-    // row *miss* must precharge + activate, and the bank cannot
-    // open another row until the row cycle time tRC elapses — this
-    // is what makes scattered (inaccurate-prefetch) traffic consume
-    // far more bank time than sequential traffic, the asymmetry the
-    // paper's bandwidth-constrained results rest on.
-    Cycle busy[kMaxBanks];
-    Addr open[kMaxBanks];
-    std::uint32_t touched = 0;
-    Cycle bus = busNextFree;
-    const Cycle occupancy = lineOccupancy;
-    const Cycle t_cycles = tCycles;
-    const Cycle t_ccd = tCcdCycles;
-    std::uint64_t hits = 0, misses = 0;
-    // Requester-class counts: demand (loads + stores), prefetch,
-    // OCP — index derived from the AccessType value (loads and
-    // stores share the demand bucket).
-    std::uint64_t byClass[3] = {0, 0, 0};
-
-    const Cycle *arrivals = qArrival.data();
-    const Addr *lines = qLine.data();
-    const std::uint8_t *types = qType.data();
-    Cycle *out = qDone.data();
-    const unsigned rs = rowShift;
-    const unsigned bs = bankShift;
-    const std::uint64_t bm = bankMask;
-    const std::uint64_t lpr = linesPerRow;
-    const std::uint64_t nb = bankCount;
-
-    for (std::size_t i = 0; i < n; ++i) {
-        const Addr line = lines[i];
-        unsigned bank;
-        Addr row;
-        if constexpr (Shift) {
-            bank = static_cast<unsigned>((line >> rs) & bm);
-            row = line >> (rs + bs);
-        } else {
-            bank = static_cast<unsigned>((line / lpr) % nb);
-            row = line / (lpr * nb);
-        }
-
-        const std::uint32_t bit = 1u << bank;
-        if (!(touched & bit)) {
-            touched |= bit;
-            busy[bank] = bankState[bank].busyUntil;
-            open[bank] = bankState[bank].openRow;
-        }
-
-        const Cycle bank_free = std::max(arrivals[i], busy[bank]);
-        Cycle column_ready;
-        if (open[bank] == row) {
-            column_ready = bank_free;
-            busy[bank] = column_ready + t_ccd;
-            ++hits;
-        } else {
-            column_ready = bank_free + 2 * t_cycles; // tRP + tRCD
-            open[bank] = row;
-            busy[bank] = bank_free + 4 * t_cycles;   // tRC
-            ++misses;
-        }
-
-        const Cycle transfer_start =
-            std::max(column_ready + t_cycles, bus);
-        bus = transfer_start + occupancy;
-        out[i] = bus;
-
-        const unsigned t = types[i];
-        byClass[t >= 2 ? t - 1 : 0] += 1;
-    }
-
-    // Publish: per-bank state once per drain, then the bus cursor
-    // and the batch-accumulated counters.
-    while (touched != 0) {
-        const unsigned bank = static_cast<unsigned>(
-            std::countr_zero(touched));
-        touched &= touched - 1;
-        bankState[bank].busyUntil = busy[bank];
-        bankState[bank].openRow = open[bank];
-    }
-    busNextFree = bus;
-
-    const std::uint64_t bus_busy =
-        static_cast<std::uint64_t>(n) * occupancy;
-    window.demandRequests += byClass[0];
-    window.prefetchRequests += byClass[1];
-    window.ocpRequests += byClass[2];
-    window.rowHits += hits;
-    window.rowMisses += misses;
-    window.busBusyCycles += bus_busy;
-    total.demandRequests += byClass[0];
-    total.prefetchRequests += byClass[1];
-    total.ocpRequests += byClass[2];
-    total.rowHits += hits;
-    total.rowMisses += misses;
-    total.busBusyCycles += bus_busy;
-}
-
-std::span<const Cycle>
-Dram::drain()
-{
-    const std::size_t n = qSize;
-    if (n == 0)
-        return {};
-    if (qDone.size() < n)
-        qDone.resize(n);
-    if (n == 1) {
-        qDone[0] = serveOne(qArrival[0], qLine[0],
-                            static_cast<AccessType>(qType[0]));
-    } else if (shiftDecode) {
-        serviceBatch<true>(n);
-    } else {
-        serviceBatch<false>(n);
-    }
-    qSize = 0;
-    return {qDone.data(), n};
-}
-
-void
-Dram::growQueue()
-{
-    const std::size_t cap = std::max<std::size_t>(
-        64, 2 * qArrival.size());
-    qArrival.resize(cap);
-    qLine.resize(cap);
-    qType.resize(cap);
-    qDone.resize(cap);
-}
-
-DramCounters
-Dram::takeCounters()
-{
-    DramCounters out = window;
-    window = DramCounters{};
-    return out;
 }
 
 void
@@ -302,25 +141,18 @@ Dram::reset()
     busNextFree = 0;
     for (auto &b : bankState)
         b = Bank{};
-    window = DramCounters{};
     total = DramCounters{};
-    qSize = 0;
 }
 
 void
 Dram::saveState(SnapshotWriter &w) const
 {
-    if (qSize != 0) {
-        throw SnapshotError("dram", "controller queue not empty at "
-                                    "snapshot point");
-    }
     w.u32(bankCount);
     w.u64(busNextFree);
     for (unsigned b = 0; b < bankCount; ++b) {
         w.u64(bankState[b].busyUntil);
         w.u64(bankState[b].openRow);
     }
-    writeDramCounters(w, window);
     writeDramCounters(w, total);
 }
 
@@ -333,9 +165,7 @@ Dram::restoreState(SnapshotReader &r)
         bankState[b].busyUntil = r.u64();
         bankState[b].openRow = r.u64();
     }
-    readDramCounters(r, window);
     readDramCounters(r, total);
-    qSize = 0;
 }
 
 ChanneledDram::ChanneledDram(const DramParams &params,
@@ -368,13 +198,6 @@ ChanneledDram::lifetime() const
         aggregate.busBusyCycles += c.busBusyCycles;
     }
     return aggregate;
-}
-
-void
-ChanneledDram::reset()
-{
-    for (Dram &d : chans)
-        d.reset();
 }
 
 } // namespace athena

@@ -176,12 +176,6 @@ class ParallelStepper
         }
     }
 
-    /** True while the current step holds the turn (own thread). */
-    bool grantedThisStep(unsigned core) const
-    {
-        return slots[core].granted;
-    }
-
     /**
      * Remove a finished core (stream exhausted or budget reached)
      * from every other core's wait condition. The release-store

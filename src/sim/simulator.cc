@@ -7,12 +7,10 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -34,17 +32,6 @@ namespace
 
 /** Slot marker for fills that must not generate feedback. */
 constexpr std::uint8_t kNoFeedbackSlot = 0xff;
-
-/**
- * Provisional readyAt for lines filled while their DRAM request is
- * still pending on the controller queue. Never observable: the
- * trigger window's drain patches the real completion cycle in
- * before any lookup can read readyAt, and an eviction beforehand
- * discards it exactly as scalar service would have. The extreme
- * value makes any violation of that invariant loud in the golden
- * and equivalence suites rather than silently plausible.
- */
-constexpr Cycle kPendingReady = ~0ull;
 
 std::unique_ptr<CoordinationPolicy>
 makePolicy(const SystemConfig &cfg, unsigned num_prefetchers)
@@ -96,74 +83,6 @@ class CoreMemAdapter : public MemoryInterface
   private:
     Simulator &sim;
     unsigned core;
-};
-
-/**
- * The DRAM-bound prefetch fills collected inside one trigger
- * window (one triggerLevel call): each entry remembers which cache
- * levels were eagerly filled with a provisional readyAt so the
- * window's single Dram::drain() can patch the real completion
- * cycles in, index-aligned with the controller queue. Lives on the
- * trigger path's stack — no heap traffic.
- */
-struct Simulator::PrefetchFillBatch
-{
-    /**
-     * One level's patch target: the coordinates of the eager fill
-     * (set base + way from CacheEviction::filledWay + packed key),
-     * so delivering the completion is one tag compare and a store.
-     * No default member initializers: the batch lives on the stack
-     * of every triggerLevel call, and value-initialized entries
-     * would zero the whole buffer per access.
-     */
-    struct Target
-    {
-        std::size_t base;
-        std::uint64_t key;
-        std::uint8_t way;
-    };
-
-    struct Entry
-    {
-        Target l1; ///< Valid when fillsL1.
-        Target l2;
-        Target llc;
-        /** Queue slot of the DRAM request (channel + index). */
-        ChanneledDram::Ticket ticket;
-        /** LLC bank the eager fill landed in. */
-        std::uint16_t llcBank;
-        bool fillsL1;
-    };
-
-    // The rule above holds for every nested type (Target,
-    // ChanneledDram::Ticket) and for the CandidateVec buffer on the
-    // same frame.
-    static_assert(std::is_trivially_default_constructible_v<Entry>,
-                  "the fill batch must not initialize per trigger");
-    static_assert(
-        std::is_trivially_default_constructible_v<PrefetchCandidate>,
-        "CandidateVec must not initialize per trigger");
-
-    /** One trigger window is at most slots x CandidateVec capacity
-     *  candidates; a full batch mid-window just drains early, which
-     *  is semantics-preserving (patches commute and the controller
-     *  services strictly in enqueue order either way). */
-    static constexpr unsigned kCapacity = 48;
-
-    Entry buf[kCapacity];
-    unsigned count = 0;
-
-    bool empty() const { return count == 0; }
-    bool full() const { return count == kCapacity; }
-    void clear() { count = 0; }
-
-    static Target
-    target(const CacheRef &r, std::uint8_t way)
-    {
-        return {r.base, r.key, way};
-    }
-
-    void push(const Entry &e) { buf[count++] = e; }
 };
 
 /** All per-core state. */
@@ -360,21 +279,13 @@ Simulator::triggerLevel(unsigned core, CacheLevel level,
         cc.levelSlots[level == CacheLevel::kL1D ? 0 : 1];
     if (slots.empty())
         return;
-    // The trigger window owns the DRAM controller queue: every
-    // off-chip prefetch this window generates is enqueued and the
-    // whole window drains in one batched call below. Outside
-    // trigger windows the queue is empty (demand/OCP/store traffic
-    // goes through the scalar serve() shim), so the global request
-    // order is exactly the scalar issue order. Under the parallel
-    // engine the queue may only be inspected while this core holds
-    // the shared-state turn (another core's window owns it
-    // otherwise).
-    assert((par && !par->grantedThisStep(core)) ||
-           dram->pendingRequests() == 0);
-    PrefetchFillBatch batch;
     // Candidate buffer on the stack of the access path: no heap
     // traffic, and the tag-dispatched observe() below is a direct
-    // call (see Prefetcher::observe).
+    // call (see Prefetcher::observe). Its entries are trivial, so
+    // declaring it does not zero the buffer on every trigger.
+    static_assert(
+        std::is_trivially_default_constructible_v<PrefetchCandidate>,
+        "CandidateVec must not initialize per trigger");
     CandidateVec scratch;
     const PrefetchTrigger trigger{pc, addr, hit, cycle};
     for (unsigned slot : slots) {
@@ -392,55 +303,19 @@ Simulator::triggerLevel(unsigned core, CacheLevel level,
             if (gated)
                 pf.onPrefetchDropped(cand.meta);
             else
-                issuePrefetch(core, slot, cand, pc, cycle, batch);
+                issuePrefetch(core, slot, cand, pc, cycle);
         }
     }
-    if (!batch.empty())
-        drainPrefetchFills(cc, batch);
-}
-
-void
-Simulator::drainPrefetchFills(CoreCtx &cc, PrefetchFillBatch &batch)
-{
-    // One batched service per channel for the whole window:
-    // bank/row decoded once per request, row-hit streaks resolved
-    // bank-locally, counters published per batch (see Dram::drain).
-    // Each channel's completions come back index-aligned with that
-    // channel's enqueue order, which is exactly what the entries'
-    // tickets recorded at enqueue time.
-    std::span<const Cycle> spans[ChanneledDram::kMaxChannels];
-    const unsigned channels = dram->channelCount();
-#ifndef NDEBUG
-    std::size_t drained = 0;
-#endif
-    for (unsigned ch = 0; ch < channels; ++ch) {
-        spans[ch] = dram->drainChannel(ch);
-#ifndef NDEBUG
-        drained += spans[ch].size();
-#endif
-    }
-    assert(drained == batch.count);
-    for (unsigned i = 0; i < batch.count; ++i) {
-        const PrefetchFillBatch::Entry &e = batch.buf[i];
-        const Cycle at = spans[e.ticket.channel][e.ticket.index];
-        llc->patchReadyAt(e.llcBank, e.llc.base, e.llc.way,
-                          e.llc.key, at);
-        cc.l2.patchReadyAt(e.l2.base, e.l2.way, e.l2.key, at);
-        if (e.fillsL1)
-            cc.l1.patchReadyAt(e.l1.base, e.l1.way, e.l1.key, at);
-    }
-    batch.clear();
 }
 
 void
 Simulator::issuePrefetch(unsigned core, unsigned slot,
                          const PrefetchCandidate &cand,
-                         std::uint64_t trigger_pc, Cycle cycle,
-                         PrefetchFillBatch &batch)
+                         std::uint64_t trigger_pc, Cycle cycle)
 {
     CoreCtx &cc = *coreCtxs[core];
     Prefetcher &pf = *cc.prefetchers[slot];
-    Addr line = cand.lineNum;
+    const Addr line = cand.lineNum;
 
     if (cc.policyFiltersPrefetches &&
         cc.policy->filterPrefetch(pf.level(), trigger_pc,
@@ -449,130 +324,57 @@ Simulator::issuePrefetch(unsigned core, unsigned slot,
         return;
     }
 
-    bool from_dram = false;
-    Cycle ready;
+    // The prefetcher fills its own level (L1D or L2C). An L1D
+    // prefetch first probes L2, and fills it too when the line
+    // comes from DRAM. One ref per level, shared by the probe/touch
+    // and the fill.
+    const bool at_l1 = pf.level() == CacheLevel::kL1D;
+    Cache &own = at_l1 ? cc.l1 : cc.l2;
+    const CacheRef own_ref = own.ref(line);
+    if (own.contains(own_ref)) {
+        pf.onPrefetchDropped(cand.meta); // already resident
+        return;
+    }
+    const CacheRef l2ref = at_l1 ? cc.l2.ref(line) : own_ref;
 
-    if (pf.level() == CacheLevel::kL1D) {
-        // One ref per level, shared by the probe/touch and the fill.
-        const CacheRef l1ref = cc.l1.ref(line);
-        const CacheRef l2ref = cc.l2.ref(line);
-        if (cc.l1.contains(l1ref)) {
-            pf.onPrefetchDropped(cand.meta); // already resident
-            return;
-        }
-        PrefetchFillBatch::Entry patch{};
-        if (cc.l2.touch(l2ref)) {
-            ready = cycle + latL2;
-        } else {
-            // First shared-resource touch on this path: the LLC
-            // bank owning the line.
-            const BankedRef llcref = llc->ref(line);
-            sharedTurn(core, llcref.bank);
-            if (llc->touch(llcref)) {
-                ready = cycle + latLlc;
-            } else {
-                // Off-chip: enqueue on the owning channel's
-                // controller queue and fill every level eagerly
-                // with a provisional readyAt — the real completion
-                // cycle is patched in when the trigger window
-                // drains (drainPrefetchFills), addressed by the
-                // enqueue ticket. Cache state otherwise evolves
-                // exactly as under scalar service: same probe
-                // order, same fills, same victims, same LRU stamps.
-                if (batch.full())
-                    drainPrefetchFills(cc, batch);
-                patch.ticket = dram->enqueue(
-                    cycle + latLlc, line, AccessType::kPrefetch);
-                sharedTurn(core, dramShard(patch.ticket.channel));
-                ready = kPendingReady;
-                from_dram = true;
-                CacheEviction ev =
-                    llc->fill(llcref, cycle, ready, true,
-                              kNoFeedbackSlot, 0, true);
-                patch.llc = PrefetchFillBatch::target(
-                    llcref.ref, ev.filledWay);
-                patch.llcBank =
-                    static_cast<std::uint16_t>(llcref.bank);
-                handleLlcEviction(core, ev);
-                if (cc.ocp)
-                    cc.ocp->onFill(line);
-            }
-        }
-        // Fill the intermediate L2 on an off-chip prefetch path.
-        if (from_dram) {
-            CacheEviction l2ev = cc.l2.fill(l2ref, cycle, ready,
-                                            true, kNoFeedbackSlot,
-                                            0, true);
-            patch.l2 =
-                PrefetchFillBatch::target(l2ref, l2ev.filledWay);
-        }
-        CacheEviction ev =
-            cc.l1.fill(l1ref, cycle, ready, true,
-                       static_cast<std::uint8_t>(slot), cand.meta,
-                       from_dram);
-        if (ev.evictedUnusedPrefetch &&
-            ev.evictedPfSlot < cc.prefetchers.size()) {
-            PrefetcherSlotStats &eps = cc.pfStats[ev.evictedPfSlot];
-            ++eps.uselessEvictions;
-            if (ev.evictedPfFromDram)
-                ++eps.fillsFromDramUnused;
-            cc.prefetchers[ev.evictedPfSlot]->onPrefetchUseless(
-                ev.evictedPfMeta);
-        }
-        if (from_dram) {
-            patch.l1 = PrefetchFillBatch::target(l1ref, ev.filledWay);
-            patch.fillsL1 = true;
-            batch.push(patch);
-        }
-    } else { // kL2C
-        const CacheRef l2ref = cc.l2.ref(line);
-        if (cc.l2.contains(l2ref)) {
-            pf.onPrefetchDropped(cand.meta);
-            return;
-        }
+    bool from_dram = false;
+    Cycle ready = cycle + latL2;
+    if (!at_l1 || !cc.l2.touch(l2ref)) {
+        // First shared-resource touch on this path: the LLC bank
+        // owning the line.
         const BankedRef llcref = llc->ref(line);
-        PrefetchFillBatch::Entry patch{};
-        // First shared-resource touch on the L2C prefetch path:
-        // the LLC bank owning the line.
         sharedTurn(core, llcref.bank);
-        if (llc->touch(llcref)) {
-            ready = cycle + latLlc;
-        } else {
-            // Off-chip: same deferred-completion protocol as the
-            // L1 path above, without the L1 fill.
-            if (batch.full())
-                drainPrefetchFills(cc, batch);
-            patch.ticket = dram->enqueue(cycle + latLlc, line,
-                                         AccessType::kPrefetch);
-            sharedTurn(core, dramShard(patch.ticket.channel));
-            ready = kPendingReady;
+        ready = cycle + latLlc;
+        if (!llc->touch(llcref)) {
+            // Off-chip: served now, in issue order, like demand,
+            // OCP and store traffic; every level is filled with the
+            // real completion cycle.
+            sharedTurn(core, dramShard(dram->channelOf(line)));
+            ready = dram->serve(cycle + latLlc, line,
+                                AccessType::kPrefetch);
             from_dram = true;
             CacheEviction ev = llc->fill(llcref, cycle, ready, true,
                                          kNoFeedbackSlot, 0, true);
-            patch.llc = PrefetchFillBatch::target(llcref.ref,
-                                                  ev.filledWay);
-            patch.llcBank = static_cast<std::uint16_t>(llcref.bank);
             handleLlcEviction(core, ev);
             if (cc.ocp)
                 cc.ocp->onFill(line);
+            if (at_l1) {
+                cc.l2.fill(l2ref, cycle, ready, true, kNoFeedbackSlot,
+                           0, true);
+            }
         }
-        CacheEviction ev =
-            cc.l2.fill(l2ref, cycle, ready, true,
-                       static_cast<std::uint8_t>(slot), cand.meta,
-                       from_dram);
-        if (ev.evictedUnusedPrefetch &&
-            ev.evictedPfSlot < cc.prefetchers.size()) {
-            PrefetcherSlotStats &eps = cc.pfStats[ev.evictedPfSlot];
-            ++eps.uselessEvictions;
-            if (ev.evictedPfFromDram)
-                ++eps.fillsFromDramUnused;
-            cc.prefetchers[ev.evictedPfSlot]->onPrefetchUseless(
-                ev.evictedPfMeta);
-        }
-        if (from_dram) {
-            patch.l2 = PrefetchFillBatch::target(l2ref, ev.filledWay);
-            batch.push(patch);
-        }
+    }
+    CacheEviction ev =
+        own.fill(own_ref, cycle, ready, true,
+                 static_cast<std::uint8_t>(slot), cand.meta, from_dram);
+    if (ev.evictedUnusedPrefetch &&
+        ev.evictedPfSlot < cc.prefetchers.size()) {
+        PrefetcherSlotStats &eps = cc.pfStats[ev.evictedPfSlot];
+        ++eps.uselessEvictions;
+        if (ev.evictedPfFromDram)
+            ++eps.fillsFromDramUnused;
+        cc.prefetchers[ev.evictedPfSlot]->onPrefetchUseless(
+            ev.evictedPfMeta);
     }
 
     PrefetcherSlotStats &ps = cc.pfStats[slot];

@@ -241,9 +241,8 @@ class Simulator
      * prefetcher, predictor, policy, workload cursor, the DRAM
      * channel, and the measurement bookkeeping — to @p path in the
      * versioned ASNP format (see snapshot/snapshot.hh). Only legal
-     * between instruction steps (the DRAM request queue must be
-     * empty; Dram::saveState enforces this). Throws SnapshotError
-     * on I/O failure.
+     * between instruction steps. Throws SnapshotError on I/O
+     * failure.
      */
     void snapshot(const std::string &path) const;
 
@@ -254,9 +253,6 @@ class Simulator
     friend class CoreMemAdapter;
 
     struct CoreCtx;
-    /** Deferred-completion targets of one trigger window's
-     *  DRAM-bound prefetch fills (defined in simulator.cc). */
-    struct PrefetchFillBatch;
 
     // Memory-path internals (called via the per-core adapter).
     Cycle doLoad(unsigned core, std::uint64_t pc, Addr addr,
@@ -269,9 +265,7 @@ class Simulator
                       Cycle cycle);
     void issuePrefetch(unsigned core, unsigned slot,
                        const PrefetchCandidate &cand,
-                       std::uint64_t trigger_pc, Cycle cycle,
-                       PrefetchFillBatch &batch);
-    void drainPrefetchFills(CoreCtx &cc, PrefetchFillBatch &batch);
+                       std::uint64_t trigger_pc, Cycle cycle);
     void handleLlcEviction(unsigned core, const CacheEviction &ev);
     void dispatchPrefetchFeedbackUsed(unsigned core,
                                       const CacheLookup &res,

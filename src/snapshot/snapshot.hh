@@ -58,8 +58,10 @@ namespace athena
  *  payload bytes are unchanged.
  *  v4: the Athena agent section drops its buffered SARSA-triple
  *  list, and Pythia sections drop the unpacked delta history (the
- *  packed history key alone carries it). */
-constexpr std::uint16_t kSnapshotVersion = 4;
+ *  packed history key alone carries it).
+ *  v5: `dram/ch<j>` sections drop the per-window counter block
+ *  (the lifetime counters remain). */
+constexpr std::uint16_t kSnapshotVersion = 5;
 /** Width of the section tag field (NUL-padded). */
 constexpr std::size_t kSnapshotTagBytes = 24;
 /** Snapshot file magic. */

@@ -160,56 +160,6 @@ TEST(Cache, LateReadyAtVisibleToDemand)
     EXPECT_EQ(res.readyAt, 500u);
 }
 
-/**
- * Deferred-completion protocol of the batched DRAM path: fill with
- * a provisional readyAt, patch the real one in by the fill's
- * coordinates (set base + CacheEviction::filledWay + key).
- */
-TEST(Cache, PatchReadyAtDeliversDeferredCompletion)
-{
-    Cache c(tinyCache(4, 2));
-    const CacheRef r = c.ref(9);
-    CacheEviction ev = c.fill(r, 10, ~0ull, true, 0, 0, true);
-    c.patchReadyAt(r.base, ev.filledWay, r.key, 500);
-    CacheLookup res = c.access(r, 100);
-    EXPECT_TRUE(res.hit);
-    EXPECT_EQ(res.readyAt, 500u);
-}
-
-TEST(Cache, PatchReadyAtSkipsEvictedLine)
-{
-    Cache c(tinyCache(1, 2)); // one set, two ways
-    const CacheRef a = c.ref(1);
-    CacheEviction eva = c.fill(a, 1, ~0ull, true, 0, 0, true);
-    c.fill(2, 2, 2, false);
-    CacheEviction evc = c.fill(3, 3, 3, false); // evicts line 1
-    EXPECT_TRUE(evc.evictedValid);
-    EXPECT_EQ(evc.evictedLine, 1u);
-    // Patching the dead fill must not corrupt whichever line now
-    // owns the way (the key check fails).
-    c.patchReadyAt(a.base, eva.filledWay, a.key, 500);
-    EXPECT_FALSE(c.access(a, 10).hit);
-    Addr survivor = evc.filledWay == eva.filledWay ? 3 : 2;
-    CacheLookup res = c.access(survivor, 1);
-    EXPECT_TRUE(res.hit);
-    EXPECT_LT(res.readyAt, 500u);
-}
-
-TEST(Cache, FilledWayReportsResidentWay)
-{
-    Cache c(tinyCache(1, 4));
-    for (Addr line = 0; line < 4; ++line) {
-        CacheEviction ev = c.fill(line, 1, 1, false);
-        // A refill of the resident line reports the same way.
-        CacheEviction again = c.fill(line, 2, 2, false);
-        EXPECT_EQ(again.filledWay, ev.filledWay);
-        // And the reported way answers an indexed patch.
-        const CacheRef r = c.ref(line);
-        c.patchReadyAt(r.base, ev.filledWay, r.key, 900 + line);
-        EXPECT_EQ(c.access(r, 5).readyAt, 900 + line);
-    }
-}
-
 /** Property: capacity is sets x ways distinct lines per set. */
 class CacheGeometry
     : public ::testing::TestWithParam<std::pair<unsigned, unsigned>>

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <gtest/gtest.h>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -282,13 +283,14 @@ TEST(SnapshotRobustness, BadMagicIsFileLevelError)
 
 TEST(SnapshotRobustness, WrongVersionIsRejected)
 {
-    // v2 files carry FNV-1a checksums and v3 files the older agent
-    // and Pythia layouts: they are refused, not read.
+    // v2 files carry FNV-1a checksums, v3 files the older agent
+    // and Pythia layouts, and v4 files a DRAM window-counter block:
+    // they are refused, not read.
     SnapshotWriter w;
     w.beginSection("s");
     w.u64(1);
     w.endSection();
-    for (unsigned version : {2u, 3u, kSnapshotVersion + 1u}) {
+    for (unsigned version : {2u, 3u, 4u, kSnapshotVersion + 1u}) {
         auto bytes = w.serialize();
         bytes[4] = static_cast<std::uint8_t>(version);
         bytes[5] = static_cast<std::uint8_t>(version >> 8);
@@ -673,6 +675,60 @@ TEST(SnapshotRangeGuards, AthenaPrevActionIsRangeChecked)
     expectRejected(cfg, with(actions), tag, "Athena previous action");
     expectRejected(cfg, with(0xffffffffu), tag,
                    "Athena previous action");
+}
+
+TEST(SnapshotRangeGuards, CoreCursorsAreRangeChecked)
+{
+    // execute() indexes the ROB ring with robHead/robCount and the
+    // MSHR list with mshrCount, unchecked.
+    const SystemConfig cfg =
+        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kNaive);
+    const auto clean = warmupSnapshot(cfg);
+    const std::string tag = "c0/core";
+    const SectionLoc loc = locateSection(clean, tag);
+    // CoreModel::saveState: u32 robSize, u32 l1Mshrs, u64 dispatch
+    // cycle, u32 dispatch slots, u32 robHead, u32 robCount, u64
+    // last retire cycle, u32 retire slots, u32 mshrCount.
+    constexpr std::size_t kRobHead = 20;
+    constexpr std::size_t kRobCount = 24;
+    constexpr std::size_t kMshrCount = 40;
+    const std::uint32_t rob = cfg.core.robSize;
+    const std::uint32_t mshrs = cfg.core.l1Mshrs;
+    ASSERT_EQ(loadLe32(&clean[loc.offset]), rob);
+    ASSERT_EQ(loadLe32(&clean[loc.offset + 4]), mshrs);
+
+    auto with = [&](std::size_t field, std::uint32_t v) {
+        auto bytes = clean;
+        storeLe32(&bytes[loc.offset + field], v);
+        return bytes;
+    };
+
+    // Control: in-range edits resume and run.
+    const std::pair<std::size_t, std::uint32_t> valid[] = {
+        {kRobHead, rob - 1}, {kRobCount, rob}, {kMshrCount, mshrs}};
+    for (const auto &[field, v] : valid) {
+        auto bytes = with(field, v);
+        resealSection(bytes, loc);
+        const std::string path = tmpPath("core_cursor_valid");
+        writeFile(path, bytes);
+        Simulator resumed(cfg, {pickWorkload("bwaves")}, path);
+        std::remove(path.c_str());
+        RunPlan plan;
+        plan.measured = 2000;
+        plan.warmup = 4000;
+        EXPECT_GE(resumed.run(plan).cores[0].instructions,
+                  plan.measured)
+            << "offset " << field;
+    }
+    expectRejected(cfg, with(kRobHead, rob), tag, "core ROB head");
+    expectRejected(cfg, with(kRobHead, 0x40000000u), tag,
+                   "core ROB head");
+    expectRejected(cfg, with(kRobCount, rob + 1), tag,
+                   "core ROB count");
+    expectRejected(cfg, with(kMshrCount, mshrs + 1), tag,
+                   "core MSHR count");
+    expectRejected(cfg, with(kMshrCount, 5000), tag,
+                   "core MSHR count");
 }
 
 // -------------------------------------------- randomized round-trip
