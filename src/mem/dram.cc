@@ -44,7 +44,7 @@ readDramCounters(SnapshotReader &r, DramCounters &c)
 
 } // namespace
 
-Dram::Dram(const DramParams &params) : cfg(params)
+Dram::Dram(const DramParams &cfg)
 {
     if (cfg.banks < 1 || cfg.banks > kMaxBanks) {
         throw std::invalid_argument(

@@ -96,13 +96,13 @@ class Dram
     static constexpr unsigned kMaxBanks = 32;
 
     /**
-     * @throws std::invalid_argument when @p params violates the
+     * @throws std::invalid_argument when @p cfg violates the
      * stated contract: banks outside [1, kMaxBanks], rowBytes not a
      * positive multiple of the 64 B line size, or a non-positive
      * bandwidth/clock. Validation is release-mode: a bad geometry
      * must never silently index out of the bank array.
      */
-    explicit Dram(const DramParams &params);
+    explicit Dram(const DramParams &cfg);
 
     /**
      * Service a 64 B line read/fill.
@@ -138,8 +138,6 @@ class Dram
     void saveState(SnapshotWriter &w) const;
     void restoreState(SnapshotReader &r);
 
-    const DramParams &params() const { return cfg; }
-
   private:
     struct Bank
     {
@@ -147,7 +145,6 @@ class Dram
         Addr openRow = ~0ull;
     };
 
-    DramParams cfg;
     double lineCycles;  ///< Bus occupancy per line.
     Cycle tCycles;      ///< tRCD = tRP = tCAS in cycles.
     Cycle tCcdCycles;   ///< tCCD in cycles (from tCcdNs x coreGHz).
@@ -178,8 +175,8 @@ class Dram
  * Main memory as M line-interleaved independent channels
  * (`channel = line mod M`, channel-local line = `line / M`), each a
  * full Dram controller — own bank/row state, bus cursor, and
- * counters — at the full per-channel bandwidth, so
- * aggregate bandwidth scales with the channel count. One channel is
+ * counters — at the full per-channel bandwidth, so aggregate
+ * bandwidth scales with the channel count. One channel is
  * bit-identical to the monolithic controller (the decode is the
  * identity). Channel decode honors DramParams::forceDivisionDecode,
  * and non-pow2 channel counts take the exact division path
@@ -219,21 +216,11 @@ class ChanneledDram
                                type);
     }
 
-    double cyclesPerLine() const
-    {
-        return chans.front().cyclesPerLine();
-    }
-
     /**
      * Lifetime counters summed over channels (recomputed per call
      * into a cached aggregate; deterministic channel-order sum).
      */
     const DramCounters &lifetime() const;
-
-    const DramParams &params() const
-    {
-        return chans.front().params();
-    }
 
   private:
     ShardDecode decode;

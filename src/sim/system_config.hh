@@ -67,7 +67,7 @@ struct SystemConfig
      * `llcBanks` line-interleaved banks (`bank = line mod llcBanks`,
      * the bank sees `line / llcBanks`) and DRAM into `dramChannels`
      * independent channels (same interleave), each channel owning
-     * its own request queue, bank state, and counters at the full
+     * its own bus, bank state, and counters at the full
      * per-channel `bandwidthGBps` — so aggregate bandwidth scales
      * with the channel count. Defaults of 1/1 are bit-identical to
      * the pre-sharding monolithic plane; power-of-two LLC bank

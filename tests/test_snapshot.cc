@@ -539,6 +539,24 @@ resumeResealed(const SystemConfig &cfg, std::vector<std::uint8_t> bytes,
     Simulator resumed(cfg, {pickWorkload("bwaves")}, path);
 }
 
+/** Reseal section @p tag of @p bytes, resume, and run @p measured
+ *  instructions past the warmupSnapshot cut; returns how many the
+ *  core measured. */
+std::uint64_t
+runResealed(const SystemConfig &cfg, std::vector<std::uint8_t> bytes,
+            const std::string &tag, std::uint64_t measured)
+{
+    resealSection(bytes, locateSection(bytes, tag));
+    const std::string path = tmpPath("mutated_run");
+    writeFile(path, bytes);
+    Simulator resumed(cfg, {pickWorkload("bwaves")}, path);
+    std::remove(path.c_str());
+    RunPlan plan;
+    plan.measured = measured;
+    plan.warmup = 4000;
+    return resumed.run(plan).cores[0].instructions;
+}
+
 /** The edit must fail the resume with an error naming the section
  *  and the field (@p what), not a checksum mismatch. */
 void
@@ -659,19 +677,9 @@ TEST(SnapshotRangeGuards, AthenaPrevActionIsRangeChecked)
 
     // Control: an in-range edit resumes and runs past the first
     // post-resume epoch.
-    {
-        auto bytes = with(actions - 1);
-        resealSection(bytes, loc);
-        const std::string path = tmpPath("prev_action_valid");
-        writeFile(path, bytes);
-        Simulator resumed(cfg, {pickWorkload("bwaves")}, path);
-        std::remove(path.c_str());
-        RunPlan plan;
-        plan.measured = 2 * cfg.epochInstructions;
-        plan.warmup = 4000;
-        EXPECT_GE(resumed.run(plan).cores[0].instructions,
-                  plan.measured);
-    }
+    const std::uint64_t two_epochs = 2 * cfg.epochInstructions;
+    EXPECT_GE(runResealed(cfg, with(actions - 1), tag, two_epochs),
+              two_epochs);
     expectRejected(cfg, with(actions), tag, "Athena previous action");
     expectRejected(cfg, with(0xffffffffu), tag,
                    "Athena previous action");
@@ -707,17 +715,7 @@ TEST(SnapshotRangeGuards, CoreCursorsAreRangeChecked)
     const std::pair<std::size_t, std::uint32_t> valid[] = {
         {kRobHead, rob - 1}, {kRobCount, rob}, {kMshrCount, mshrs}};
     for (const auto &[field, v] : valid) {
-        auto bytes = with(field, v);
-        resealSection(bytes, loc);
-        const std::string path = tmpPath("core_cursor_valid");
-        writeFile(path, bytes);
-        Simulator resumed(cfg, {pickWorkload("bwaves")}, path);
-        std::remove(path.c_str());
-        RunPlan plan;
-        plan.measured = 2000;
-        plan.warmup = 4000;
-        EXPECT_GE(resumed.run(plan).cores[0].instructions,
-                  plan.measured)
+        EXPECT_GE(runResealed(cfg, with(field, v), tag, 2000), 2000u)
             << "offset " << field;
     }
     expectRejected(cfg, with(kRobHead, rob), tag, "core ROB head");
