@@ -15,9 +15,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <gtest/gtest.h>
+#include <string>
 #include <vector>
 
 #include "sim/simulator.hh"
+#include "trace/trace_file.hh"
 #include "trace/zoo.hh"
 
 namespace athena
@@ -109,6 +111,12 @@ checkOrPrint(const char *name, const Golden &got,
     EXPECT_EQ(got.dramOcp, want.dramOcp) << name;
 }
 
+std::string
+dataPath(const std::string &name)
+{
+    return std::string(ATHENA_TEST_DATA_DIR) + "/" + name;
+}
+
 WorkloadSpec
 pickWorkload(const char *substr)
 {
@@ -186,12 +194,38 @@ TEST(GoldenResult, Cd3TlpStream)
                  kCd3TlpStream);
 }
 
+/**
+ * Multi-core fingerprint: one Golden per core, then the DRAM totals
+ * {rowHits, rowMisses, busBusyCycles}. Together they pin the order in
+ * which the cores reached the shared LLC banks and DRAM channels.
+ */
+void
+checkOrPrintCores(const SimResult &res, const Golden *want,
+                  const std::uint64_t (&want_dram)[3])
+{
+    for (unsigned c = 0; c < res.cores.size(); ++c) {
+        const std::string name = "core " + std::to_string(c);
+        checkOrPrint(name.c_str(), fingerprint(res, c), want[c]);
+    }
+    const std::uint64_t dram[3] = {res.dram.rowHits,
+                                   res.dram.rowMisses,
+                                   res.dram.busBusyCycles};
+    if (printMode()) {
+        std::printf("    // dram\n    {%lluu, %lluu, %lluu};\n",
+                    static_cast<unsigned long long>(dram[0]),
+                    static_cast<unsigned long long>(dram[1]),
+                    static_cast<unsigned long long>(dram[2]));
+        return;
+    }
+    for (unsigned i = 0; i < 3; ++i)
+        EXPECT_EQ(dram[i], want_dram[i]) << "dram " << i;
+}
+
 // Sharded prefetch path: 4 cores of CD3 (two L2C prefetchers) at
 // half the default bandwidth over 2 LLC banks and 2 DRAM channels,
 // so trigger windows often send several prefetches to DRAM across
 // both channels. Captured while each trigger window's off-chip
-// prefetches were queued and drained together. One fingerprint per
-// core, then the DRAM totals {rowHits, rowMisses, busBusyCycles}.
+// prefetches were queued and drained together.
 constexpr Golden kCd3NaiveSharded[4] = {
     {60000u, 254078u, 21580u, 3015u, 743u, 2u, 6899u, 0u, 0u,
      1377u, 2304u, 41841u, 10397u},
@@ -219,23 +253,106 @@ TEST(GoldenResult, Cd3NaiveShardedFourCore)
     // Sequential engine; the shard suites pin the parallel engine
     // to it.
     plan.stepThreads = 1;
-    const SimResult res = sim.run(plan);
-    const char *names[4] = {"core 0", "core 1", "core 2", "core 3"};
-    for (unsigned c = 0; c < 4; ++c)
-        checkOrPrint(names[c], fingerprint(res, c),
-                     kCd3NaiveSharded[c]);
-    const std::uint64_t dram[3] = {res.dram.rowHits,
-                                   res.dram.rowMisses,
-                                   res.dram.busBusyCycles};
-    if (printMode()) {
-        std::printf("    // dram\n    {%lluu, %lluu, %lluu};\n",
-                    static_cast<unsigned long long>(dram[0]),
-                    static_cast<unsigned long long>(dram[1]),
-                    static_cast<unsigned long long>(dram[2]));
-        return;
+    checkOrPrintCores(sim.run(plan), kCd3NaiveSharded,
+                      kCd3NaiveShardedDram);
+}
+
+// The multi-core shapes below were captured on the engine that
+// stepped one instruction per pick; they pin the core interleaving
+// at the shared LLC and DRAM.
+
+// Two pointer-chasing cores under the naive policy: every OCP
+// false positive is a DRAM transfer that competes with the other
+// core's demand misses.
+constexpr Golden kCd1NaiveChaseTwoCore[2] = {
+    {60000u, 1879493u, 13408u, 2394u, 1493u, 3193u, 14159316u, 15086u,
+     241u, 0u, 579u, 18470u, 3191u},
+    {60000u, 1879493u, 13408u, 2394u, 1493u, 1u, 2126u, 14717u, 235u,
+     0u, 579u, 18470u, 3191u},
+};
+constexpr std::uint64_t kCd1NaiveChaseTwoCoreDram[3] = {
+    12852u, 9388u, 1779200u};
+
+TEST(GoldenResult, Cd1NaiveChaseTwoCore)
+{
+    SystemConfig cfg =
+        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kNaive);
+    cfg.cores = 2;
+    Simulator sim(cfg, {pickWorkload("mcf"), pickWorkload("mcf")});
+    checkOrPrintCores(sim.run({kInstr, kWarmup}),
+                      kCd1NaiveChaseTwoCore, kCd1NaiveChaseTwoCoreDram);
+}
+
+// Four cores striding across the zoo under Athena with
+// 500-instruction epochs: every epoch end samples the shared DRAM
+// counters, hundreds of times per core.
+constexpr Golden kCd1AthenaShortEpochsFourCore[4] = {
+    {60000u, 356907u, 21580u, 3015u, 743u, 471u, 229109u, 809u, 789u,
+     0u, 6488u, 4668u, 1495u},
+    {60000u, 647240u, 19083u, 3738u, 2330u, 3323u, 1604662u, 2573u,
+     1913u, 0u, 6488u, 4668u, 1495u},
+    {60000u, 211144u, 17389u, 2991u, 1077u, 44u, 66010u, 1161u, 1145u,
+     0u, 6488u, 4668u, 1495u},
+    {60000u, 255143u, 17002u, 3035u, 1231u, 65u, 116593u, 976u, 960u,
+     0u, 6488u, 4668u, 1495u},
+};
+constexpr std::uint64_t kCd1AthenaShortEpochsFourCoreDram[3] = {
+    4358u, 8293u, 1012080u};
+
+TEST(GoldenResult, Cd1AthenaShortEpochsFourCore)
+{
+    SystemConfig cfg =
+        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kAthena);
+    cfg.cores = 4;
+    cfg.epochInstructions = 500;
+    auto workloads = evalWorkloads();
+    std::vector<WorkloadSpec> mix;
+    for (unsigned i = 0; i < 4; ++i)
+        mix.push_back(workloads[(i * workloads.size()) / 4]);
+    Simulator sim(cfg, mix);
+    checkOrPrintCores(sim.run({kInstr, kWarmup}),
+                      kCd1AthenaShortEpochsFourCore,
+                      kCd1AthenaShortEpochsFourCoreDram);
+}
+
+// Four finite trace replays that end at staggered counts: two
+// before the 1,000-instruction warmup, two inside the measured
+// window. Each core leaves the schedule the moment its stream ends.
+constexpr std::uint64_t kStaggeredWarmup = 1000;
+constexpr Golden kCd1NaiveStaggeredTraces[4] = {
+    {400u, 45093u, 174u, 38u, 8u, 171u, 203489u, 4u, 0u, 0u, 4u, 0u,
+     26u},
+    {200u, 124u, 90u, 19u, 0u, 0u, 0u, 4u, 0u, 0u, 4u, 0u, 26u},
+    {512u, 49704u, 201u, 51u, 11u, 196u, 178519u, 4u, 0u, 0u, 4u, 0u,
+     26u},
+    {1048u, 621u, 416u, 103u, 0u, 0u, 0u, 0u, 0u, 0u, 4u, 0u, 26u},
+};
+constexpr std::uint64_t kCd1NaiveStaggeredTracesDram[3] = {
+    0u, 30u, 2400u};
+
+TEST(GoldenResult, Cd1NaiveStaggeredTraceExhaustion)
+{
+    SystemConfig cfg =
+        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kNaive);
+    cfg.cores = 4;
+    Simulator sim(
+        cfg,
+        {traceWorkloadSpec("t.a", dataPath("sample_loop.txt"), 1),
+         traceWorkloadSpec("t.b", dataPath("sample_loop.txt"), 3),
+         traceWorkloadSpec("t.c", dataPath("sample_mix.bin"), 1),
+         traceWorkloadSpec("t.d", dataPath("sample_mix.bin"), 4)});
+    const SimResult res = sim.run({50000, kStaggeredWarmup});
+    // The case only pins staggered exhaustion if every stream ended,
+    // cores 0 and 2 before the warmup boundary, 1 and 3 after it.
+    for (unsigned c = 0; c < 4; ++c) {
+        EXPECT_TRUE(res.cores[c].streamExhausted) << "core " << c;
+        EXPECT_EQ(res.cores[c].completedInstructions >=
+                      kStaggeredWarmup,
+                  c % 2 == 1)
+            << "core " << c;
     }
-    for (unsigned i = 0; i < 3; ++i)
-        EXPECT_EQ(dram[i], kCd3NaiveShardedDram[i]) << "dram " << i;
+    checkOrPrintCores(res, kCd1NaiveStaggeredTraces,
+                      kCd1NaiveStaggeredTracesDram);
 }
 
 TEST(GoldenResult, RepeatRunsAreBitIdentical)
