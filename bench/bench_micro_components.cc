@@ -26,7 +26,6 @@
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "prefetch/prefetcher.hh"
-#include "sim/parallel_step.hh"
 #include "sim/simulator.hh"
 #include "sim/step_picker.hh"
 #include "sim/system_config.hh"
@@ -409,34 +408,6 @@ BM_SnapshotRestore(benchmark::State &state)
     std::filesystem::remove(path);
 }
 BENCHMARK(BM_SnapshotRestore)->Unit(benchmark::kMicrosecond);
-
-void
-BM_SharedTurnSpin(benchmark::State &state)
-{
-    // Uncontended turn-grant cost: beginStep + first ensureTurn of
-    // a step when the grant is immediately ready (all peers done),
-    // i.e. the per-shared-touch overhead every load/store pays in
-    // the parallel engine even without contention. The arg is the
-    // slot-array width the grant test scans. Guards the
-    // pause->yield->park escalation: the escalation only engages
-    // on a failed grant test, so this single-threaded fast path —
-    // the 1-bank/1-channel default geometry included — must not
-    // regress.
-    const auto cores = static_cast<unsigned>(state.range(0));
-    athena::ParallelStepper stepper(cores, /*shard_count=*/2,
-                                    /*log_sink=*/nullptr);
-    for (unsigned c = 1; c < cores; ++c)
-        stepper.finish(c);
-    athena::Cycle now = 0;
-    for (auto _ : state) {
-        stepper.beginStep(0, now++);
-        stepper.ensureTurn(0, 0);
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_SharedTurnSpin)->Arg(1)->Arg(4)->Arg(16)->Arg(32);
 
 } // namespace
 

@@ -13,33 +13,20 @@
  * (Athena agent in the loop, including a short-epoch policy-heavy
  * case and a two-prefetcher CD3 case), and multi-core mixes — 4-core
  * synthetic, the 8-core Fig-16 shape, a 4-core trace-replay mix
- * (the multi-core stepping engines plus shared LLC/DRAM contention),
+ * (multi-core burst stepping plus shared LLC/DRAM contention),
  * and the 16/32-core sharded presets (banked LLC + channeled DRAM
  * via makeManyCoreConfig — the scaled shared-memory plane).
  *
- * Measurement modes:
- *  - Repeats: every case runs ATHENA_BENCH_REPEATS times (default
- *    3) and reports the best (minimum-wall) run, which is robust to
- *    scheduler noise on shared hosts.
- *  - A/B interleave: when ATHENA_AB_BASELINE names a pinned
- *    baseline bench binary (e.g. built from the previous release),
- *    each of our repeats is interleaved with one baseline run —
- *    A B A B ... — so slow drift of the host (thermal, co-tenants)
- *    cancels out of the comparison. The JSON gains an "ab" block
- *    with the baseline rate and the measured speedup.
- *  - Parallel stepping A/B: every multi-core case additionally runs
- *    sequential-vs-parallel (RunPlan::stepThreads 1 vs cores) and
- *    the JSON gains a "parallel_stepping" block with per-case
- *    seq/par wall times and the speedup. Only meaningful on
- *    multi-core hosts; a 1-CPU box reports <= 1x by construction
- *    (results are bit-identical either way — see
- *    tests/test_parallel_step.cc).
+ * Every case runs ATHENA_BENCH_REPEATS times (default 3) and reports
+ * the best (minimum-wall) run, which is robust to scheduler noise on
+ * shared hosts. Perf claims against a parent build are made with
+ * alternated perfbench pairs (perfbench/README.md), not with this
+ * matrix.
  *
  * Knobs:
  *  - ATHENA_SIM_INSTR      measured instructions per run (default 2M)
  *  - ATHENA_WARMUP_INSTR   warmup instructions per run (default 50k)
  *  - ATHENA_BENCH_REPEATS  repeats per case (default 3; 1 in CI)
- *  - ATHENA_AB_BASELINE    path to a pinned baseline bench binary
  *  - ATHENA_BENCH_JSON     output path (default BENCH_throughput.json)
  *  - ATHENA_BENCH_FILTER   comma-separated list of substrings: run
  *                          only cases whose name contains at least
@@ -54,11 +41,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
-#include <set>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/simulator.hh"
@@ -88,13 +71,6 @@ struct Case
     /** Per-core instruction scale (multi-core cases run shorter
      *  per core so total simulated work stays comparable). */
     unsigned instrDivisor = 1;
-    /**
-     * Part of the PR 1 regression-anchor quartet. The A/B speedup
-     * is computed over anchor cases only, so a baseline binary
-     * whose matrix predates the expansion is compared
-     * like-for-like rather than against a different case mix.
-     */
-    bool abAnchor = false;
 };
 
 struct CaseResult
@@ -107,18 +83,11 @@ struct CaseResult
     double ipc = 0.0;
 };
 
-/**
- * Run one case. @p step_threads pins the stepping engine for the
- * sequential-vs-parallel A/B (0 = the auto default users get —
- * parallel for multi-core cases when the host is wide enough).
- */
 CaseResult
-runCase(const Case &c, std::uint64_t instr, std::uint64_t warmup,
-        unsigned step_threads = 0)
+runCase(const Case &c, std::uint64_t instr, std::uint64_t warmup)
 {
     Simulator sim(c.cfg, c.specs);
     RunPlan plan(instr / c.instrDivisor, warmup / c.instrDivisor);
-    plan.stepThreads = step_threads;
     auto t0 = std::chrono::steady_clock::now();
     SimResult res = sim.run(plan);
     auto t1 = std::chrono::steady_clock::now();
@@ -139,81 +108,6 @@ runCase(const Case &c, std::uint64_t instr, std::uint64_t warmup,
     return out;
 }
 
-/** Best (min-wall) observation of one baseline case across the
- *  interleaved repeats. */
-struct BaselineCase
-{
-    std::uint64_t accesses = 0;
-    double wallSeconds = 0.0;
-    unsigned cores = 1;
-};
-
-/**
- * Run a pinned baseline binary once and fold its per-case results
- * (minimum wall per case) into @p best_cases. Per-case best-of is
- * what our own matrix reports, so the two sides of the A/B stay
- * symmetric and equally robust to scheduler noise. Returns true if
- * the baseline emitted the expanded-matrix schema (has per-case
- * "cores"), false for the PR 1 schema (single-core quartet only).
- */
-bool
-runBaselineOnce(const std::string &binary, std::uint64_t instr,
-                std::uint64_t warmup,
-                std::map<std::string, BaselineCase> &best_cases)
-{
-    std::string tmp = "/tmp/athena_ab_baseline.json";
-    std::ostringstream cmd;
-    cmd << "ATHENA_BENCH_REPEATS=1"
-        << " ATHENA_AB_BASELINE="
-        << " ATHENA_SIM_INSTR=" << instr
-        << " ATHENA_WARMUP_INSTR=" << warmup
-        << " ATHENA_BENCH_JSON=" << tmp << " " << binary
-        << " > /dev/null 2>&1";
-    if (std::system(cmd.str().c_str()) != 0) {
-        std::cerr << "A/B baseline run failed: " << binary << "\n";
-        return false;
-    }
-    std::ifstream in(tmp);
-    std::string line;
-    bool new_schema = false;
-    while (std::getline(in, line)) {
-        auto field = [&line](const char *key, double fallback) {
-            auto pos = line.find(key);
-            if (pos == std::string::npos)
-                return fallback;
-            pos = line.find(':', pos);
-            return pos == std::string::npos
-                       ? fallback
-                       : std::strtod(line.c_str() + pos + 1,
-                                     nullptr);
-        };
-        auto name_pos = line.find("\"name\":");
-        if (name_pos == std::string::npos)
-            continue;
-        auto q0 = line.find('"', name_pos + 7);
-        auto q1 = line.find('"', q0 + 1);
-        if (q0 == std::string::npos || q1 == std::string::npos)
-            continue;
-        std::string name = line.substr(q0 + 1, q1 - q0 - 1);
-        BaselineCase c;
-        c.accesses =
-            static_cast<std::uint64_t>(field("\"accesses\"", 0.0));
-        c.wallSeconds = field("\"wall_seconds\"", 0.0);
-        double cores = field("\"cores\"", 0.0);
-        if (cores > 0.0) {
-            c.cores = static_cast<unsigned>(cores);
-            new_schema = true;
-        }
-        if (c.wallSeconds <= 0.0)
-            continue;
-        auto it = best_cases.find(name);
-        if (it == best_cases.end() ||
-            c.wallSeconds < it->second.wallSeconds)
-            best_cases[name] = c;
-    }
-    return new_schema;
-}
-
 } // namespace
 
 int
@@ -225,8 +119,6 @@ main(int argc, char **argv)
         static_cast<unsigned>(envOr("ATHENA_BENCH_REPEATS", 3));
     if (repeats == 0)
         repeats = 1;
-    const char *ab_env = std::getenv("ATHENA_AB_BASELINE");
-    std::string ab_baseline = ab_env ? ab_env : "";
     const char *json_env = std::getenv("ATHENA_BENCH_JSON");
     std::string json_path =
         argc > 1 ? argv[1]
@@ -257,24 +149,23 @@ main(int argc, char **argv)
 
     std::vector<Case> cases;
     auto add_sc = [&](std::string name, SystemConfig cfg,
-                      const WorkloadSpec &spec,
-                      bool anchor = false) {
-        cases.push_back(
-            {std::move(name), std::move(cfg), {spec}, 1, anchor});
+                      const WorkloadSpec &spec) {
+        cases.push_back({std::move(name), std::move(cfg), {spec}, 1});
     };
-    // Single-core: the PR 1 quartet (the regression anchor).
+    // Single-core: streaming and pointer chasing under CD1 naive and
+    // Athena, and chasing under CD4 Athena.
     add_sc("cd1_naive_" + stream.name,
            makeDesignConfig(CacheDesign::kCd1, PolicyKind::kNaive),
-           stream, true);
+           stream);
     add_sc("cd1_naive_" + chase->name,
            makeDesignConfig(CacheDesign::kCd1, PolicyKind::kNaive),
-           *chase, true);
+           *chase);
     add_sc("cd1_athena_" + stream.name,
            makeDesignConfig(CacheDesign::kCd1, PolicyKind::kAthena),
-           stream, true);
+           stream);
     add_sc("cd4_athena_" + chase->name,
            makeDesignConfig(CacheDesign::kCd4, PolicyKind::kAthena),
-           *chase, true);
+           *chase);
     // Athena-policy-heavy: 500-instruction epochs run the full
     // agent decision loop ~16x more often per simulated
     // instruction.
@@ -317,8 +208,7 @@ main(int argc, char **argv)
         cfg.bandwidthGBps = 1.6;
         cases.push_back({"mc4_cd3_naive_lowbw_mix", cfg, mix4, 4});
     }
-    // 8-core Fig-16-style case: the configuration the parallel
-    // stepping engine exists for — eight private hierarchies
+    // 8-core Fig-16-style case: eight private hierarchies
     // contending on the shared LLC/DRAM under the full Athena
     // learning stack.
     {
@@ -328,9 +218,8 @@ main(int argc, char **argv)
         cases.push_back({"mc8_cd1_athena_fig16_mix", cfg, mix8, 8});
     }
     // 16/32-core sharded presets: the scaled shared-memory plane
-    // (banked LLC + channeled DRAM). These are the configurations
-    // the sharding refactor exists for — wide parallel stepping
-    // with per-bank/per-channel shared state. Per-core budget
+    // (banked LLC + channeled DRAM): many cores stepping against
+    // per-bank/per-channel shared state. Per-core budget
     // shrinks with the core count so total simulated work stays
     // comparable to the rest of the matrix.
     {
@@ -436,10 +325,7 @@ main(int argc, char **argv)
         cases = std::move(kept);
     }
 
-    // Interleaved repeats: A(all cases) B(baseline) A B ...
     std::vector<CaseResult> best(cases.size());
-    std::map<std::string, BaselineCase> baseline_cases;
-    bool baseline_new_schema = false;
     for (unsigned r = 0; r < repeats; ++r) {
         for (std::size_t i = 0; i < cases.size(); ++i) {
             CaseResult res = runCase(cases[i], instr, warmup);
@@ -447,88 +333,6 @@ main(int argc, char **argv)
                 res.wallSeconds < best[i].wallSeconds)
                 best[i] = res;
         }
-        if (!ab_baseline.empty())
-            baseline_new_schema |= runBaselineOnce(
-                ab_baseline, instr, warmup, baseline_cases);
-    }
-
-    // Sequential-vs-parallel stepping A/B over the multi-core
-    // cases: each engine is pinned explicitly (stepThreads 1 vs
-    // cores) and gets the same best-of-repeats treatment, so the
-    // reported speedup is engine-vs-engine on this host rather
-    // than engine-vs-committed-baseline across hosts. Both engines
-    // produce bit-identical results (tests/test_parallel_step.cc);
-    // only wall clock differs. On hosts narrower than the core
-    // count the parallel engine time-slices and the "speedup" is
-    // honestly below 1 — the number is still reported rather than
-    // suppressed.
-    struct ParAb
-    {
-        std::string name;
-        unsigned cores = 1;
-        double seqWall = 0.0;
-        double parWall = 0.0;
-    };
-    std::vector<ParAb> par_ab;
-    for (const Case &c : cases) {
-        if (c.cfg.cores < 2)
-            continue;
-        ParAb row;
-        row.name = c.name;
-        row.cores = c.cfg.cores;
-        for (unsigned r = 0; r < repeats; ++r) {
-            double seq = runCase(c, instr, warmup, 1).wallSeconds;
-            double par =
-                runCase(c, instr, warmup, c.cfg.cores).wallSeconds;
-            if (r == 0 || seq < row.seqWall)
-                row.seqWall = seq;
-            if (r == 0 || par < row.parWall)
-                row.parWall = par;
-        }
-        std::cout << "parallel A/B " << row.name << ": seq "
-                  << row.seqWall << " s, par " << row.parWall
-                  << " s -> "
-                  << (row.parWall > 0.0 ? row.seqWall / row.parWall
-                                        : 0.0)
-                  << "x\n";
-        par_ab.push_back(row);
-    }
-
-    // A-side aggregates from per-case bests, mirroring what the
-    // baseline side gets below. Like-for-like means intersecting
-    // case *names*: a baseline binary whose matrix is smaller than
-    // today's (e.g. predates the trace-replay case) contributes —
-    // and is compared against — only the cases both sides ran.
-    std::uint64_t anchor_accesses = 0, ab_sc_accesses = 0;
-    double anchor_wall = 0.0, ab_sc_wall = 0.0;
-    std::set<std::string> our_sc_names;
-    for (std::size_t i = 0; i < cases.size(); ++i) {
-        if (cases[i].abAnchor) {
-            anchor_accesses += best[i].accesses;
-            anchor_wall += best[i].wallSeconds;
-        }
-        if (cases[i].cfg.cores == 1) {
-            our_sc_names.insert(cases[i].name);
-            if (baseline_cases.count(cases[i].name)) {
-                ab_sc_accesses += best[i].accesses;
-                ab_sc_wall += best[i].wallSeconds;
-            }
-        }
-    }
-    double baseline_rate = 0.0;
-    {
-        std::uint64_t acc = 0;
-        double wall = 0.0;
-        for (const auto &[name, c] : baseline_cases) {
-            if (c.cores != 1)
-                continue; // compare single-core against single-core
-            if (baseline_new_schema && !our_sc_names.count(name))
-                continue; // intersect both directions
-            acc += c.accesses;
-            wall += c.wallSeconds;
-        }
-        if (wall > 0.0)
-            baseline_rate = static_cast<double>(acc) / wall;
     }
 
     std::uint64_t total_instr = 0, total_accesses = 0;
@@ -578,50 +382,6 @@ main(int argc, char **argv)
          << "  \"multi_core_accesses_per_sec\": " << mc_rate
          << ",\n"
          << "  \"wall_seconds\": " << total_wall << ",\n";
-    if (!ab_baseline.empty() && baseline_rate > 0.0) {
-        // Like-for-like: a new-schema baseline compares the
-        // single-core cases both binaries ran (name intersection);
-        // an old-schema baseline's matrix was exactly today's
-        // anchor quartet.
-        double ours =
-            baseline_new_schema
-                ? (ab_sc_wall > 0.0
-                       ? static_cast<double>(ab_sc_accesses) /
-                             ab_sc_wall
-                       : 0.0)
-                : (anchor_wall > 0.0
-                       ? static_cast<double>(anchor_accesses) /
-                             anchor_wall
-                       : 0.0);
-        const char *compared = baseline_new_schema
-                                   ? "single_core"
-                                   : "anchor_quartet";
-        json << "  \"ab\": {\"baseline\": \"" << ab_baseline
-             << "\", \"baseline_accesses_per_sec\": "
-             << baseline_rate << ", \"compared\": \"" << compared
-             << "\", \"single_core_speedup\": "
-             << ours / baseline_rate << "},\n";
-        std::cout << "A/B (" << compared << "): " << ours
-                  << " vs baseline " << baseline_rate << " -> "
-                  << ours / baseline_rate << "x\n";
-    }
-    // Field names chosen to not collide with the "accesses" /
-    // "wall_seconds" keys the line-oriented A/B baseline parser
-    // scans for, so this binary stays usable as a baseline.
-    json << "  \"parallel_stepping\": {\"hw_concurrency\": "
-         << std::thread::hardware_concurrency()
-         << ", \"cases\": [\n";
-    for (std::size_t i = 0; i < par_ab.size(); ++i) {
-        const ParAb &p = par_ab[i];
-        json << "    {\"name\": \"" << p.name << "\", "
-             << "\"cores\": " << p.cores << ", "
-             << "\"seq_wall_s\": " << p.seqWall << ", "
-             << "\"par_wall_s\": " << p.parWall << ", "
-             << "\"speedup\": "
-             << (p.parWall > 0.0 ? p.seqWall / p.parWall : 0.0)
-             << "}" << (i + 1 < par_ab.size() ? "," : "") << "\n";
-    }
-    json << "  ]},\n";
     json << "  \"cases\": [\n";
     for (std::size_t i = 0; i < best.size(); ++i) {
         const CaseResult &r = best[i];

@@ -29,7 +29,8 @@ The committed baseline and the CI runner are different machines, so
 the guard is a coarse parachute against order-of-magnitude
 regressions (an accidentally quadratic loop, a debug build slipping
 into Release), not a precision gate — precision comparisons are done
-locally with the bench's interleaved A/B mode (ATHENA_AB_BASELINE).
+with alternated perfbench pairs against the parent build
+(perfbench/README.md).
 """
 
 import argparse

@@ -250,8 +250,9 @@ CoreModel::step()
     return completion;
 }
 
+template <bool Bounded>
 std::uint64_t
-CoreModel::stepN(std::uint64_t n)
+CoreModel::stepSpans(std::uint64_t n, Cycle bound_cycle, bool tie_ok)
 {
     HotState h = loadHot();
     std::uint64_t remaining = n;
@@ -261,16 +262,45 @@ CoreModel::stepN(std::uint64_t n)
         unsigned span = batchLen - batchPos;
         std::uint64_t take = remaining < span ? remaining : span;
         const TraceRecord *rec = batchBuf.data() + batchPos;
-        // batchPos is committed before the span runs: the records
-        // are already buffered, and the kernel never re-enters the
-        // workload generator.
-        batchPos += static_cast<unsigned>(take);
-        remaining -= take;
-        for (std::uint64_t i = 0; i < take; ++i)
-            execute(rec[i], h);
+        if constexpr (Bounded) {
+            // The bound is tested after every record, the span's last
+            // one included, so a burst that reaches it there stops
+            // there rather than running on into the next span.
+            std::uint64_t done = 0;
+            bool below = true;
+            while (below && done < take) {
+                execute(rec[done++], h);
+                below = h.frontier < bound_cycle ||
+                        (h.frontier == bound_cycle && tie_ok);
+            }
+            batchPos += static_cast<unsigned>(done);
+            remaining -= done;
+            if (!below)
+                break;
+        } else {
+            // batchPos is committed before the span runs: the records
+            // are already buffered, and the kernel never re-enters the
+            // workload generator.
+            batchPos += static_cast<unsigned>(take);
+            remaining -= take;
+            for (std::uint64_t i = 0; i < take; ++i)
+                execute(rec[i], h);
+        }
     }
     storeHot(h);
     return n - remaining;
+}
+
+std::uint64_t
+CoreModel::stepN(std::uint64_t n)
+{
+    return stepSpans<false>(n, 0, false);
+}
+
+std::uint64_t
+CoreModel::stepBurst(std::uint64_t n, Cycle bound_cycle, bool tie_ok)
+{
+    return stepSpans<true>(n, bound_cycle, tie_ok);
 }
 
 void

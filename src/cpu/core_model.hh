@@ -19,9 +19,10 @@
  * into a contiguous buffer, and the ROB ring and MSHR slots live in
  * one contiguous arena, so the per-instruction loop touches three
  * flat arrays instead of bouncing between objects. step() executes
- * one instruction from the buffer (the multi-core interleaving
- * path); stepN() drains whole buffer spans in a tight loop (the
- * single-core path). Both orderings are bit-identical.
+ * one instruction from the buffer; stepN() drains whole buffer spans
+ * in a tight loop; stepBurst() is stepN() that also stops once the
+ * core's frontier passes a scheduling bound (the multi-core path).
+ * All three are bit-identical to one instruction at a time.
  *
  * Streams may be finite: a short nextBatch() return is the
  * generator's end-of-stream signal (never a refill hiccup — see the
@@ -103,7 +104,7 @@ struct CoreCounters
 /**
  * The core model. Instructions come from the workload generator in
  * batches; execute them one at a time via step() or in bulk via
- * stepN().
+ * stepN() and stepBurst().
  */
 class CoreModel
 {
@@ -131,6 +132,20 @@ class CoreModel
      * stream ended (after which finished() is true).
      */
     std::uint64_t stepN(std::uint64_t n);
+
+    /**
+     * stepN(@p n) that also stops after the first instruction whose
+     * completion moves now() past the bound: the burst continues
+     * while now() < @p bound_cycle, or now() == @p bound_cycle and
+     * @p tie_ok. The multi-core scheduler passes the least
+     * (cycle, core) key of the other cores, with tie_ok when this
+     * core's index is the lower, so a burst executes exactly the
+     * instructions one pick per instruction would give this core in
+     * a row. At least one instruction runs unless the stream has
+     * ended.
+     */
+    std::uint64_t stepBurst(std::uint64_t n, Cycle bound_cycle,
+                            bool tie_ok);
 
     /**
      * Terminal retired-all state: the workload stream ended and
@@ -195,6 +210,11 @@ class CoreModel
 
     /** Execute one trace record (the per-instruction kernel). */
     Cycle execute(const TraceRecord &rec, HotState &h);
+
+    /** The span loop behind stepN (unbounded) and stepBurst. */
+    template <bool Bounded>
+    std::uint64_t stepSpans(std::uint64_t n, Cycle bound_cycle,
+                            bool tie_ok);
 
     /**
      * Pull the next record batch from the workload generator.

@@ -1,9 +1,7 @@
 /**
  * @file
  * Shard addressing for the shared-memory plane: line-address
- * interleaving across LLC banks and DRAM channels, plus the flat
- * shard-id convention the parallel engine's per-shard commit logs
- * use.
+ * interleaving across LLC banks and DRAM channels.
  *
  * A shard owns every Nth line: `shard = line mod N`, and the shard
  * sees the quotient `local = line / N` as its private line-address
@@ -103,30 +101,6 @@ class ShardDecode
     std::uint64_t mask;
     unsigned shift;
     std::uint64_t magic;
-};
-
-/**
- * Flat shard-id space for the parallel engine's per-shard commit
- * bookkeeping: LLC banks occupy ids [0, B), DRAM channels ids
- * [B, B + M). The total must fit the per-step logged bitmask.
- */
-struct SharedShard
-{
-    static constexpr unsigned kMaxShards = 64;
-
-    unsigned id = 0;
-
-    static SharedShard
-    llcBank(unsigned bank)
-    {
-        return {bank};
-    }
-
-    static SharedShard
-    dramChannel(unsigned llc_banks, unsigned channel)
-    {
-        return {llc_banks + channel};
-    }
 };
 
 } // namespace athena

@@ -147,7 +147,10 @@ BertiPrefetcher::restoreState(SnapshotReader &r)
             h.cycle = r.u64();
             h.valid = r.boolean();
         }
-        e.histHead = r.u32();
+        // observeImpl writes hist[histHead] and reads active[i] for
+        // i < activeCount, unchecked.
+        e.histHead = static_cast<unsigned>(
+            r.bounded(r.u32(), kHistory, "Berti history head"));
         for (DeltaScore &s : e.scores) {
             s.delta = r.i32();
             s.score = r.u32();
@@ -155,7 +158,8 @@ BertiPrefetcher::restoreState(SnapshotReader &r)
         e.accessesThisRound = r.u32();
         for (std::int32_t &d : e.active)
             d = r.i32();
-        e.activeCount = r.u32();
+        e.activeCount = static_cast<unsigned>(r.bounded(
+            r.u32(), e.active.size() + 1, "Berti active delta count"));
     }
 }
 

@@ -9,11 +9,9 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -21,7 +19,6 @@
 #include "coord/simple.hh"
 #include "coord/tlp.hh"
 #include "sim/step_picker.hh"
-#include "sim/thread_pool.hh"
 #include "snapshot/snapshot.hh"
 
 namespace athena
@@ -148,11 +145,14 @@ Simulator::Simulator(const SystemConfig &config,
             "workload count must equal core count");
     }
 
+    // Geometry comes from outside input: reject empty and absurdly
+    // wide shared planes before sizing anything from them.
+    constexpr unsigned kMaxShards = 64;
     if (cfg.llcBanks < 1 || cfg.dramChannels < 1 ||
-        cfg.llcBanks + cfg.dramChannels > SharedShard::kMaxShards) {
+        cfg.llcBanks + cfg.dramChannels > kMaxShards) {
         throw std::invalid_argument(
             "llcBanks and dramChannels must each be >= 1 and sum "
-            "to at most " + std::to_string(SharedShard::kMaxShards));
+            "to at most " + std::to_string(kMaxShards));
     }
 
     llc = std::make_unique<BankedLlc>(llcParams(cfg.cores),
@@ -340,16 +340,12 @@ Simulator::issuePrefetch(unsigned core, unsigned slot,
     bool from_dram = false;
     Cycle ready = cycle + latL2;
     if (!at_l1 || !cc.l2.touch(l2ref)) {
-        // First shared-resource touch on this path: the LLC bank
-        // owning the line.
         const BankedRef llcref = llc->ref(line);
-        sharedTurn(core, llcref.bank);
         ready = cycle + latLlc;
         if (!llc->touch(llcref)) {
             // Off-chip: served now, in issue order, like demand,
             // OCP and store traffic; every level is filled with the
             // real completion cycle.
-            sharedTurn(core, dramShard(dram->channelOf(line)));
             ready = dram->serve(cycle + latLlc, line,
                                 AccessType::kPrefetch);
             from_dram = true;
@@ -435,10 +431,6 @@ Simulator::doLoad(unsigned core, std::uint64_t pc, Addr addr,
                 cc.l1.fill(l1ref, issue, completion, false);
             } else {
                 const BankedRef llcref = llc->ref(line);
-                // Leaving the private L1/L2 hierarchy: the LLC
-                // bank lookup (and any DRAM service behind it)
-                // must commit in the sequential schedule's order.
-                sharedTurn(core, llcref.bank);
                 CacheLookup llcres = llc->access(llcref, issue);
                 if (llcres.hit) {
                     dispatchPrefetchFeedbackUsed(core, llcres,
@@ -453,8 +445,6 @@ Simulator::doLoad(unsigned core, std::uint64_t pc, Addr addr,
                         ++cc.window.pollutionMisses;
 
                     Cycle done;
-                    sharedTurn(core,
-                               dramShard(dram->channelOf(line)));
                     if (ocp_pred) {
                         // Hermes path: the speculative request
                         // reaches the controller after the OCP
@@ -489,10 +479,7 @@ Simulator::doLoad(unsigned core, std::uint64_t pc, Addr addr,
     }
 
     // A false-positive OCP prediction wasted one DRAM transfer.
-    // Reachable without a prior LLC touch (on-chip hit), so it
-    // takes the shared-state turn itself.
     if (ocp_pred && !went_offchip) {
-        sharedTurn(core, dramShard(dram->channelOf(line)));
         dram->serve(issue + cfg.ocpIssueLatency, line,
                     AccessType::kOcp);
     }
@@ -545,8 +532,6 @@ Simulator::doStore(unsigned core, std::uint64_t pc, Addr addr,
         return;
     }
     const BankedRef llcref = llc->ref(line);
-    // Leaving the private hierarchy (store walk).
-    sharedTurn(core, llcref.bank);
     CacheLookup llcres = llc->access(llcref, cycle);
     if (llcres.hit) {
         dispatchPrefetchFeedbackUsed(core, llcres, cycle);
@@ -556,7 +541,6 @@ Simulator::doStore(unsigned core, std::uint64_t pc, Addr addr,
     }
     // Write-allocate from DRAM; off the critical path but the
     // traffic is real.
-    sharedTurn(core, dramShard(dram->channelOf(line)));
     Cycle done =
         dram->serve(cycle + latLlc, line, AccessType::kDemandStore);
     CacheEviction ev = llc->fill(llcref, cycle, done, false);
@@ -589,9 +573,7 @@ Simulator::maybeEndEpoch(unsigned core)
         cs.branchMispredicts - cc.epochStartCounters.branchMispredicts;
 
     // The epoch summary samples the aggregate DRAM counters across
-    // every channel; that read must see exactly the traffic the
-    // sequential schedule ordered before this step, on all of them.
-    sharedTurnAllDram(core);
+    // every channel.
     const DramCounters &life = dram->lifetime();
     stats.dramDemand = life.demandRequests - cc.lastDram.demandRequests;
     stats.dramPrefetch =
@@ -663,8 +645,26 @@ Simulator::run(const RunPlan &plan)
 
     bool want_snapshot = !plan.snapshotAfterWarmup.empty();
 
+    // Latch a core's measurement-window start once it crosses the
+    // warmup boundary. The first core to cross anchors the window's
+    // DRAM counters and wall-clock frontier.
     auto check_warmup = [&](unsigned c) {
-        checkWarmup(c, warmup_per_core);
+        const CoreModel &core = *coreCtxs[c]->core;
+        if (measure.started[c] || core.retired() < warmup_per_core)
+            return;
+        measure.started[c] = 1;
+        measure.starts[c] = {core.retired(),
+                             core.now(),
+                             core.counters().loads,
+                             core.counters().stores,
+                             core.counters().branchMispredicts,
+                             coreCtxs[c]->llcMissesTotal,
+                             coreCtxs[c]->llcMissLatencyTotal};
+        if (!measure.anyStarted) {
+            measure.anyStarted = true;
+            measure.dramAtStart = dram->lifetime();
+            measure.maxNowAtStart = core.now();
+        }
     };
 
     // The warmup-snapshot cut: the first inter-step point at which
@@ -687,136 +687,67 @@ Simulator::run(const RunPlan &plan)
         }
     };
 
-    if (cfg.cores == 1) {
-        CoreCtx &cc = *coreCtxs[0];
-        // Batched stepping up to the warmup boundary, then in one
-        // drain — preserving the post-step snapshot semantics of
-        // the generic path (the measurement snapshot lands after
-        // the step that crosses the warmup boundary; for
-        // warmup == 0 it lands after the first step, hence the max
-        // with 1). A finite stream may end inside either span
-        // (stepN returns short exactly then); the measurement
-        // start is only sampled if the boundary was actually
-        // reached. On a resumed simulator the core is already at
-        // (or past) the boundary, so the first span is empty.
-        std::uint64_t boundary = std::min(
-            total, std::max<std::uint64_t>(warmup_per_core, 1));
-        if (cc.core->retired() < boundary) {
-            cc.core->stepN(boundary - cc.core->retired());
-            check_warmup(0);
-        }
-        maybe_snapshot();
-        if (!cc.core->finished() && cc.core->retired() < total)
-            cc.core->stepN(total - cc.core->retired());
-    } else {
-        // Size the per-shard oracle before either engine appends
-        // (the parallel stepper sizes it too; this covers the
-        // sequential engine and keeps both identically shaped).
-        if (stepLog)
-            stepLog->shards.resize(totalShards());
-
-        const bool use_par = useParallelEngine(plan);
-
-        // Sequential engine: step the globally least-advanced
-        // unfinished core to keep the cores loosely synchronized so
-        // shared-resource contention is meaningful. The picker is
-        // an indexed min-heap: O(log cores) per step instead of an
-        // O(cores) rescan, with deterministic lowest-index-first
-        // ties. The inner loop keeps stepping the picked core while
-        // it would be re-picked anyway (stillTop), so batch-pulled
-        // cores pay one heap sift per *burst* rather than per
-        // instruction — the stepping order is bit-identical to the
-        // one-instruction-per-pick schedule.
-        // A core retires from the pick set either at its
-        // instruction budget or the moment its finite stream
-        // exhausts (finished()); the survivors keep the exact
-        // least-advanced ordering — StepPicker::finish preserves
-        // the heap invariant — so finish order and all counters
-        // are a pure function of the per-core trajectories.
-        //
-        // Resume: rebuilding the picker from the restored per-core
-        // frontiers reproduces the original continuation exactly.
-        // The effective schedule is argmin over (now, core index) —
-        // stillTop's burst batching produces "exactly the order
-        // advance()+top() per instruction would" — so the heap
-        // holding every unfinished core at its current frontier is
-        // the same scheduler state the straight-through run was in
-        // at the cut. Cores that had already left the pick set
-        // (stream exhausted, or budget reached under this plan) are
-        // finished out before the loop starts.
-        //
-        // Under the parallel engine this loop still runs the
-        // pre-snapshot span: the warmup snapshot must be cut at the
-        // exact sequential inter-step boundary, which concurrently
-        // running cores would overshoot. until_snapshot makes it
-        // return at that boundary (any inter-step point resumes
-        // bit-identically — the schedule is a pure function of the
-        // component state), handing the remainder to the parallel
-        // engine.
-        auto seq_engine = [&](bool until_snapshot) {
-            StepPicker picker(cfg.cores);
-            for (unsigned c = 0; c < cfg.cores; ++c)
-                picker.advance(c, coreCtxs[c]->core->now());
-            for (unsigned c = 0; c < cfg.cores; ++c) {
-                CoreCtx &cc = *coreCtxs[c];
-                if (cc.core->finished() ||
-                    cc.core->retired() >= total) {
-                    picker.finish(c);
-                }
-            }
-            const bool logging = stepLog != nullptr;
-            while (!picker.empty()) {
-                unsigned pick = picker.top();
-                CoreCtx &cc = *coreCtxs[pick];
-                for (;;) {
-                    if (cc.core->finished()) {
-                        picker.finish(pick);
-                        maybe_snapshot();
-                        break;
-                    }
-                    if (logging) {
-                        // Open the oracle record for this step:
-                        // its key is the pre-step frontier, the
-                        // same (now, core) pair the picker ordered
-                        // by and the parallel engine's bound. The
-                        // step stays open across all its shared
-                        // touches; each shard logs at most once.
-                        seqLogKey = cc.core->now();
-                        seqLogOpen = true;
-                        seqLoggedMask = 0;
-                    }
-                    cc.core->step();
-                    check_warmup(pick);
-                    seqLogOpen = false;
-                    maybe_snapshot();
-                    if (until_snapshot && !want_snapshot)
-                        return;
-                    if (cc.core->retired() >= total) {
-                        picker.finish(pick);
-                        break;
-                    }
-                    if (!picker.stillTop(pick, cc.core->now())) {
-                        picker.advance(pick, cc.core->now());
-                        break;
-                    }
-                }
-                if (until_snapshot && !want_snapshot)
-                    return;
-            }
-            // All streams may exhaust before any warmup crossing;
-            // the snapshot request is still honored at the
-            // terminal state.
-            maybe_snapshot();
-        };
-
-        if (!use_par)
-            seq_engine(false);
-        else if (want_snapshot)
-            seq_engine(true);
-        if (use_par)
-            runMultiParallel(total, warmup_per_core);
-        maybe_snapshot();
+    // One stepping loop for every core count. It steps the globally
+    // least-advanced unfinished core, so the cores stay loosely
+    // synchronized and shared-resource contention is meaningful; the
+    // picker is an indexed min-heap over (frontier, core) with
+    // lowest-index-first ties. The picked core runs a burst: it keeps
+    // stepping until its frontier passes the least key among the
+    // other cores (StepPicker::nextBound), which is exactly the order
+    // one pick per instruction gives. With one core left there is no
+    // bound, and the burst is plain stepN.
+    //
+    // A burst also stops at the run budget and, until the core has
+    // crossed warmup, at the warmup boundary (after the first step
+    // for warmup 0), so the measurement start is sampled after the
+    // same step as under per-instruction picking. The snapshot cut
+    // can only become due at a warmup crossing or a stream end, and
+    // both end a burst.
+    //
+    // A core leaves the pick set at its budget or the moment its
+    // finite stream ends; StepPicker::finish keeps the survivors'
+    // order, so finish order and all counters are a pure function of
+    // the per-core trajectories.
+    //
+    // Resume: the picker is rebuilt from the restored frontiers, and
+    // cores already out of the pick set (stream ended, or budget
+    // reached under this plan) are finished out before the loop. The
+    // heap holding every unfinished core at its frontier is the
+    // scheduler state the straight-through run was in at the cut.
+    StepPicker picker(cfg.cores);
+    for (unsigned c = 0; c < cfg.cores; ++c) {
+        const CoreModel &core = *coreCtxs[c]->core;
+        picker.advance(c, core.now());
+        if (core.finished() || core.retired() >= total)
+            picker.finish(c);
     }
+    const std::uint64_t warmup_stop =
+        std::min(total, std::max<std::uint64_t>(warmup_per_core, 1));
+    while (!picker.empty()) {
+        const unsigned pick = picker.top();
+        CoreModel &core = *coreCtxs[pick]->core;
+        const std::uint64_t stop =
+            measure.started[pick] ? total : warmup_stop;
+        // At least one step: a core restored from a hand-edited
+        // snapshot can sit past its stop.
+        const std::uint64_t n =
+            stop > core.retired() ? stop - core.retired() : 1;
+        if (picker.size() == 1) {
+            core.stepN(n);
+        } else {
+            const StepPicker::Key bound = picker.nextBound();
+            core.stepBurst(n, bound.cycle, pick < bound.core);
+        }
+        check_warmup(pick);
+        maybe_snapshot();
+        if (core.finished() || core.retired() >= total)
+            picker.finish(pick);
+        else
+            picker.advance(pick, core.now());
+    }
+    // All streams may end before any warmup crossing; the snapshot
+    // request is still honored at the terminal state.
+    maybe_snapshot();
 
     SimResult result;
     Cycle max_now = 0;
@@ -872,123 +803,6 @@ Simulator::run(const RunPlan &plan)
                  static_cast<double>(window) /
                  static_cast<double>(cfg.dramChannels));
     return result;
-}
-
-void
-Simulator::checkWarmup(unsigned c, std::uint64_t warmup_per_core)
-{
-    CoreCtx &cc = *coreCtxs[c];
-    if (measure.started[c] || cc.core->retired() < warmup_per_core)
-        return;
-    // The per-core start sample touches only this core's state and
-    // needs no ordering.
-    measure.started[c] = 1;
-    measure.starts[c] = {cc.core->retired(), cc.core->now(),
-                         cc.core->counters().loads,
-                         cc.core->counters().stores,
-                         cc.core->counters().branchMispredicts,
-                         cc.llcMissesTotal,
-                         cc.llcMissLatencyTotal};
-    // The global measurement anchor (DRAM counters, wall-clock
-    // frontier) is shared state: sample it in commit order so the
-    // first core to cross warmup — first in the *schedule*, not in
-    // wall-clock arrival — anchors the window, exactly as under
-    // the sequential engine. The sample reads every channel's
-    // counters.
-    sharedTurnAllDram(c);
-    if (!measure.anyStarted) {
-        measure.anyStarted = true;
-        measure.dramAtStart = dram->lifetime();
-        measure.maxNowAtStart = cc.core->now();
-    }
-}
-
-void
-Simulator::seqLogCommit(unsigned core, unsigned shard)
-{
-    const std::uint64_t bit = std::uint64_t{1} << shard;
-    if (seqLoggedMask & bit)
-        return;
-    seqLoggedMask |= bit;
-    stepLog->shards[shard].emplace_back(core, seqLogKey);
-}
-
-unsigned
-Simulator::resolveStepThreads(const RunPlan &plan)
-{
-    unsigned t = plan.stepThreads;
-    if (t == 0) {
-        if (const char *env = std::getenv("ATHENA_STEP_THREADS")) {
-            char *end = nullptr;
-            unsigned long v = std::strtoul(env, &end, 10);
-            if (end != env && *end == '\0')
-                t = static_cast<unsigned>(v);
-        }
-    }
-    if (t == 0) {
-        t = std::thread::hardware_concurrency();
-        if (t == 0)
-            t = 1;
-    }
-    return t;
-}
-
-bool
-Simulator::useParallelEngine(const RunPlan &plan) const
-{
-    if (cfg.cores < 2)
-        return false;
-    // Never stack per-core stepping threads on top of a fleet of
-    // concurrent simulations (ExperimentRunner::parallelFor): the
-    // fleet already owns the host's parallelism, and a nested
-    // ThreadPool::run would execute inline-serially and leave the
-    // stepping cores parked forever.
-    if (ThreadPool::onWorkerThread() || ThreadPool::inPooledRun())
-        return false;
-    return resolveStepThreads(plan) >= cfg.cores;
-}
-
-void
-Simulator::runMultiParallel(std::uint64_t total_per_core,
-                            std::uint64_t warmup_per_core)
-{
-    ParallelStepper stepper(cfg.cores, totalShards(), stepLog);
-    par = &stepper;
-
-    auto worker = [&](std::size_t idx) {
-        const unsigned c = static_cast<unsigned>(idx);
-        CoreCtx &cc = *coreCtxs[c];
-        CoreModel &core = *cc.core;
-        while (!core.finished() &&
-               core.retired() < total_per_core) {
-            // The bound publication is simultaneously this step's
-            // park key, the other cores' lookahead heartbeat, and
-            // the previous step's grant release.
-            stepper.beginStep(c, core.now());
-            core.step();
-            checkWarmup(c, warmup_per_core);
-        }
-        stepper.finish(c);
-    };
-
-    // Vehicle: the persistent pool when it is wide enough for
-    // thread-per-core stepping (its workers plus this thread),
-    // dedicated threads otherwise — parked cores only spin/yield,
-    // so correctness never depends on the host actually having
-    // cores many hardware threads.
-    ThreadPool &pool = ThreadPool::instance();
-    if (pool.workerCount() + 1 >= cfg.cores) {
-        pool.run(cfg.cores, worker);
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(cfg.cores - 1);
-        for (unsigned c = 1; c < cfg.cores; ++c)
-            threads.emplace_back(worker, c);
-        worker(0);
-        for (auto &t : threads)
-            t.join();
-    }
-    par = nullptr;
 }
 
 namespace

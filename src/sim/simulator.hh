@@ -27,7 +27,6 @@
 #include "mem/dram.hh"
 #include "ocp/ocp.hh"
 #include "prefetch/prefetcher.hh"
-#include "sim/parallel_step.hh"
 #include "sim/system_config.hh"
 #include "trace/workload.hh"
 
@@ -148,26 +147,6 @@ struct RunPlan
     std::uint64_t warmup = 0;
     /** Snapshot destination path; empty = no snapshot. */
     std::string snapshotAfterWarmup;
-    /**
-     * Stepping thread budget for multi-core runs.
-     *
-     *   0       auto: honor ATHENA_STEP_THREADS if set, else use
-     *           std::thread::hardware_concurrency() — i.e. the
-     *           parallel engine is on by default for cores >= 2
-     *           whenever the host has enough hardware threads.
-     *   1       force the sequential StepPicker engine.
-     *   >= cores  run the parallel engine (one stepping context
-     *           per core).
-     *
-     * Values in (1, cores) fall back to sequential: the engine is
-     * thread-per-core and does not multiplex cores onto fewer
-     * threads. Either engine produces bit-identical results; the
-     * knob only selects the execution strategy. The parallel
-     * engine also self-disables inside ExperimentRunner fleets
-     * (ThreadPool::onWorkerThread/inPooledRun) so fleet parallelism
-     * is never oversubscribed, and for single-core runs.
-     */
-    unsigned stepThreads = 0;
 };
 
 /**
@@ -225,18 +204,6 @@ class Simulator
     SimResult run(const RunPlan &plan);
 
     /**
-     * Attach a per-shard shared-step commit-order log (test
-     * oracle). Both engines append one (core, pre-step frontier)
-     * entry to every shard (LLC bank / DRAM channel) a multi-core
-     * step touches, in that shard's commit order; the parallel
-     * engine must reproduce the sequential engine's per-shard
-     * projections verbatim. Must be set before run(); the caller
-     * owns the log. Single-core runs record nothing (there is no
-     * cross-core schedule to verify).
-     */
-    void setSharedStepLog(SharedStepLog *log) { stepLog = log; }
-
-    /**
      * Write the complete simulator state — every core, cache,
      * prefetcher, predictor, policy, workload cursor, the DRAM
      * channel, and the measurement bookkeeping — to @p path in the
@@ -272,69 +239,6 @@ class Simulator
                                       Cycle demand_cycle);
     void maybeEndEpoch(unsigned core);
 
-    // Parallel stepping engine (tentpole of PR 7; see
-    // parallel_step.hh for the determinism argument).
-    /** Effective stepping-thread budget for @p plan (knob doc on
-     *  RunPlan::stepThreads). */
-    static unsigned resolveStepThreads(const RunPlan &plan);
-    /** True when this run should use the parallel engine. */
-    bool useParallelEngine(const RunPlan &plan) const;
-    /** Step all cores to completion concurrently, bit-identically
-     *  to the sequential schedule. */
-    void runMultiParallel(std::uint64_t total_per_core,
-                          std::uint64_t warmup_per_core);
-    /** Latch a core's measurement-window start once it crosses the
-     *  warmup boundary (engine-agnostic; ordered via sharedTurn). */
-    void checkWarmup(unsigned core, std::uint64_t warmup_per_core);
-
-    /**
-     * Shared-state gate, called at every shared touch point on the
-     * memory path with the shard (LLC bank / DRAM channel in the
-     * SharedShard id space) being touched. Under the parallel
-     * engine it parks the core until its step's turn in the
-     * sequential commit order (the wait is global — see
-     * parallel_step.hh on why per-shard grants are unsound without
-     * footprint declaration — so only the first shared touch of a
-     * step can block) and records the touch on the shard's commit
-     * log; under the sequential engine it only feeds the per-shard
-     * commit-order oracle. No-op (one predicted branch) when
-     * neither is active.
-     */
-    void
-    sharedTurn(unsigned core, unsigned shard)
-    {
-        if (par)
-            par->ensureTurn(core, shard);
-        else if (stepLog && seqLogOpen)
-            seqLogCommit(core, shard);
-    }
-
-    /** Shard id of DRAM channel @p ch (LLC banks occupy [0, B)). */
-    unsigned dramShard(unsigned ch) const
-    {
-        return cfg.llcBanks + ch;
-    }
-
-    /** Total shard count: LLC banks + DRAM channels. */
-    unsigned totalShards() const
-    {
-        return cfg.llcBanks + cfg.dramChannels;
-    }
-
-    /**
-     * Order + log a read of every DRAM channel (epoch/warmup
-     * lifetime sampling reads the aggregate counters): one global
-     * wait, one commit-log entry per channel shard.
-     */
-    void
-    sharedTurnAllDram(unsigned core)
-    {
-        for (unsigned ch = 0; ch < cfg.dramChannels; ++ch)
-            sharedTurn(core, dramShard(ch));
-    }
-
-    void seqLogCommit(unsigned core, unsigned shard);
-
     // Snapshot plumbing (section layout in simulator.cc).
     void saveTo(SnapshotWriter &w) const;
     void restoreFrom(SnapshotReader &r);
@@ -369,16 +273,6 @@ class Simulator
     std::vector<std::unique_ptr<CoreCtx>> coreCtxs;
 
     MeasureState measure;
-    /** Active parallel-stepping coordinator, or null (sequential). */
-    ParallelStepper *par = nullptr;
-    /** Commit-order oracle sink (tests), or null. */
-    SharedStepLog *stepLog = nullptr;
-    /** Sequential-engine oracle bookkeeping: the in-flight step's
-     *  key, whether a step is open, and which shards the step has
-     *  already logged (bit per shard id). */
-    Cycle seqLogKey = 0;
-    bool seqLogOpen = false;
-    std::uint64_t seqLoggedMask = 0;
     /** True when this instance was restored from a snapshot. */
     bool resumed = false;
     /** Warmup length the snapshot (or current run) was taken at. */

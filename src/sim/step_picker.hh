@@ -63,13 +63,36 @@ class StepPicker
         siftDown(pos[idx]);
     }
 
+    /** A core's schedule key: (frontier cycle, core index). */
+    struct Key
+    {
+        Cycle cycle;
+        unsigned core;
+    };
+
+    /**
+     * The least key among the cores other than top(). By the heap
+     * property it is one of the root's two children, so this is one
+     * compare. The top core stays next in line exactly while its own
+     * key stays below this one, which bounds a scheduler burst. With
+     * no other core left there is no bound: the key is past every
+     * reachable (cycle, core).
+     */
+    Key
+    nextBound() const
+    {
+        const unsigned n = static_cast<unsigned>(heap.size());
+        if (n < 2)
+            return {~Cycle{0}, ~0u};
+        unsigned m = heap[1];
+        if (n > 2 && less(heap[2], m))
+            m = heap[2];
+        return {key[m], m};
+    }
+
     /**
      * Would the current top core @p idx still be picked next if its
-     * frontier advanced to @p now? By the heap property the minimum
-     * of the *other* cores is one of the root's two children, so
-     * this is two lexicographic compares — the batch-boundary test
-     * that lets the scheduler step the same core repeatedly without
-     * a sift per instruction. The stepping order it produces is
+     * frontier advanced to @p now? The stepping order this gives is
      * exactly the one advance()+top() per instruction would.
      *
      * @pre idx is the current top() (its stored key may be stale;
@@ -79,16 +102,8 @@ class StepPicker
     stillTop(unsigned idx, Cycle now) const
     {
         assert(!heap.empty() && heap.front() == idx);
-        const unsigned n = static_cast<unsigned>(heap.size());
-        for (unsigned c = 1; c <= 2; ++c) {
-            if (c >= n)
-                break;
-            unsigned other = heap[c];
-            if (key[other] < now ||
-                (key[other] == now && other < idx))
-                return false;
-        }
-        return true;
+        const Key b = nextBound();
+        return now < b.cycle || (now == b.cycle && idx < b.core);
     }
 
     /** Remove a finished core from the pick set. */

@@ -13,6 +13,7 @@ namespace athena
 namespace
 {
 
+/** True on a pool worker thread. */
 thread_local bool tls_on_worker = false;
 /** True while THIS thread is inside a pooled run() submission —
  *  covers the submitting thread, which participates in draining
@@ -21,18 +22,6 @@ thread_local bool tls_on_worker = false;
 thread_local bool tls_in_run = false;
 
 } // namespace
-
-bool
-ThreadPool::onWorkerThread()
-{
-    return tls_on_worker;
-}
-
-bool
-ThreadPool::inPooledRun()
-{
-    return tls_in_run;
-}
 
 ThreadPool &
 ThreadPool::instance()
@@ -108,8 +97,7 @@ ThreadPool::run(std::size_t n,
     if (n == 0)
         return;
     jobCounter.fetch_add(1, std::memory_order_relaxed);
-    if (n == 1 || workers.empty() || onWorkerThread() ||
-        tls_in_run) {
+    if (n == 1 || workers.empty() || tls_on_worker || tls_in_run) {
         // Serial fast path: single index, no workers to share
         // with, or a nested call — from inside a pool worker OR
         // from the submitting thread while it drains its own job

@@ -55,19 +55,6 @@ class ThreadPool
     /** Total run() jobs executed (pool-reuse diagnostics/tests). */
     std::uint64_t jobsExecuted() const { return jobCounter.load(); }
 
-    /** True when called from inside a pool worker. */
-    static bool onWorkerThread();
-
-    /**
-     * True while THIS thread is draining its own run() submission
-     * (between submit and completion). Together with
-     * onWorkerThread() this identifies every thread that is already
-     * part of a pooled fleet — the parallel stepping engine checks
-     * both and falls back to sequential stepping there rather than
-     * oversubscribing the host with per-core threads.
-     */
-    static bool inPooledRun();
-
   private:
     ThreadPool();
 

@@ -601,6 +601,44 @@ TEST(CoreModel, StepNMatchesStepExactly)
     EXPECT_EQ(m1.signature, m2.signature);
 }
 
+TEST(CoreModel, StepBurstStopsWhereStepWould)
+{
+    // stepBurst must execute exactly the instructions step() gives
+    // while the frontier stays below the bound, the first one past
+    // it included, also when that one is the last record of a
+    // 256-record span.
+    CoreParams params;
+    params.robSize = 48;
+    params.l1Mshrs = 4;
+    RandomKindWorkload w1(11), w2(11);
+    HashLatencyMemory m1, m2;
+    CoreModel ref(params, w1, m1);
+    CoreModel burst(params, w2, m2);
+    Rng rng(5);
+    unsigned span_edge_stops = 0;
+    for (int b = 0; b < 4000; ++b) {
+        const Cycle bound = burst.now() + rng.below(400);
+        const bool tie_ok = rng.chance(0.5);
+        const std::uint64_t n = 1 + rng.below(700);
+        std::uint64_t want = 0;
+        bool below = true;
+        while (below && want < n) {
+            ref.step();
+            ++want;
+            below = ref.now() < bound || (ref.now() == bound && tie_ok);
+        }
+        ASSERT_EQ(burst.stepBurst(n, bound, tie_ok), want)
+            << "burst " << b;
+        ASSERT_EQ(burst.now(), ref.now()) << "burst " << b;
+        if (!below && burst.retired() % 256 == 0)
+            ++span_edge_stops;
+    }
+    EXPECT_EQ(burst.retired(), ref.retired());
+    EXPECT_EQ(burst.counters().loads, ref.counters().loads);
+    EXPECT_EQ(m1.signature, m2.signature);
+    EXPECT_GT(span_edge_stops, 0u);
+}
+
 TEST(CoreModel, MshrExactlyFullStallSchedule)
 {
     // All-miss loads with 2 MSHRs and a 100-cycle latency: loads

@@ -249,11 +249,7 @@ TEST(GoldenResult, Cd3NaiveShardedFourCore)
     Simulator sim(cfg, {pickWorkload("bwaves"), pickWorkload("mcf"),
                         pickWorkload("xalancbmk"),
                         pickWorkload("gromacs")});
-    RunPlan plan(kInstr, kWarmup);
-    // Sequential engine; the shard suites pin the parallel engine
-    // to it.
-    plan.stepThreads = 1;
-    checkOrPrintCores(sim.run(plan), kCd3NaiveSharded,
+    checkOrPrintCores(sim.run({kInstr, kWarmup}), kCd3NaiveSharded,
                       kCd3NaiveShardedDram);
 }
 

@@ -1,14 +1,12 @@
 /**
  * @file
- * Sharded shared-memory plane oracles: banked LLC + channeled DRAM
- * under the parallel stepping engine.
+ * The sharded shared-memory plane: banked LLC + channeled DRAM.
  *
  * Four contracts are pinned here:
  *
- *  1. Per-shard commit order. On any geometry, the parallel engine's
- *     per-shard commit logs must equal the sequential engine's
- *     per-shard projection entry-for-entry — across 4/8/16/32-core
- *     mixes including the Fig. 16-style many-core presets.
+ *  1. Exact decode for any shard count: shardOf/localLine is a true
+ *     divmod and globalLine its inverse, on the shift/mask path
+ *     (power-of-two counts) and the reciprocal-division path alike.
  *
  *  2. Bank-count bit-invariance. With a power-of-two bank count the
  *     interleave is a pure re-labeling of the monolithic set index
@@ -18,12 +16,12 @@
  *     channel counts: bandwidthGBps is per channel, so adding
  *     channels adds aggregate bandwidth by design.
  *
- *  3. Exact decode for any shard count: odd / non-power-of-two bank
- *     and channel counts run through the reciprocal-division path
- *     and must still satisfy the seq-vs-par oracle.
+ *  3. Snapshot/resume on every geometry in {1, 2, 4, 8} banks x
+ *     {1, 2, 4} channels, plus 3 x 3 on the division decode: the
+ *     straight-through, snapshot-taking and resumed runs agree.
  *
- *  4. Snapshot/resume on sharded geometry, including the named
- *     geometry-mismatch errors a wrong-shaped restore must raise.
+ *  4. The named geometry-mismatch errors a wrong-shaped restore
+ *     must raise.
  */
 
 #include <cstdint>
@@ -37,6 +35,7 @@
 #include "mem/shard.hh"
 #include "sim/simulator.hh"
 #include "sim/system_config.hh"
+#include "sim_result_equal.hh"
 #include "snapshot/snapshot.hh"
 #include "trace/workload.hh"
 #include "trace/zoo.hh"
@@ -63,131 +62,13 @@ stridedMix(unsigned n)
     return mix;
 }
 
-void
-expectSlotEqual(const PrefetcherSlotStats &a,
-                const PrefetcherSlotStats &b, const char *ctx,
-                unsigned core, unsigned slot)
+SimResult
+runStraight(const SystemConfig &cfg,
+            const std::vector<WorkloadSpec> &specs,
+            std::uint64_t measured, std::uint64_t warmup)
 {
-    EXPECT_EQ(a.issued, b.issued)
-        << ctx << " c" << core << " pf" << slot;
-    EXPECT_EQ(a.used, b.used) << ctx << " c" << core << " pf" << slot;
-    EXPECT_EQ(a.usedTimely, b.usedTimely)
-        << ctx << " c" << core << " pf" << slot;
-    EXPECT_EQ(a.uselessEvictions, b.uselessEvictions)
-        << ctx << " c" << core << " pf" << slot;
-    EXPECT_EQ(a.fillsFromDram, b.fillsFromDram)
-        << ctx << " c" << core << " pf" << slot;
-    EXPECT_EQ(a.fillsFromDramUnused, b.fillsFromDramUnused)
-        << ctx << " c" << core << " pf" << slot;
-}
-
-/** Full-SimResult equality: every counter, every core, exact. */
-void
-expectResultsIdentical(const SimResult &a, const SimResult &b,
-                       const char *ctx)
-{
-    ASSERT_EQ(a.cores.size(), b.cores.size()) << ctx;
-    for (unsigned c = 0; c < a.cores.size(); ++c) {
-        const SimResult::PerCore &x = a.cores[c];
-        const SimResult::PerCore &y = b.cores[c];
-        EXPECT_EQ(x.workload, y.workload) << ctx << " c" << c;
-        EXPECT_EQ(x.instructions, y.instructions) << ctx << " c" << c;
-        EXPECT_EQ(x.cycles, y.cycles) << ctx << " c" << c;
-        EXPECT_EQ(x.completedInstructions, y.completedInstructions)
-            << ctx << " c" << c;
-        EXPECT_EQ(x.streamExhausted, y.streamExhausted)
-            << ctx << " c" << c;
-        EXPECT_EQ(x.ipc, y.ipc) << ctx << " c" << c;
-        EXPECT_EQ(x.loads, y.loads) << ctx << " c" << c;
-        EXPECT_EQ(x.stores, y.stores) << ctx << " c" << c;
-        EXPECT_EQ(x.branchMispredicts, y.branchMispredicts)
-            << ctx << " c" << c;
-        EXPECT_EQ(x.llcMisses, y.llcMisses) << ctx << " c" << c;
-        EXPECT_EQ(x.llcMissLatency, y.llcMissLatency)
-            << ctx << " c" << c;
-        for (unsigned s = 0; s < x.pf.size(); ++s)
-            expectSlotEqual(x.pf[s], y.pf[s], ctx, c, s);
-        EXPECT_EQ(x.ocpPredictions, y.ocpPredictions)
-            << ctx << " c" << c;
-        EXPECT_EQ(x.ocpCorrect, y.ocpCorrect) << ctx << " c" << c;
-        EXPECT_EQ(x.actionHistogram, y.actionHistogram)
-            << ctx << " c" << c;
-    }
-    EXPECT_EQ(a.dram.demandRequests, b.dram.demandRequests) << ctx;
-    EXPECT_EQ(a.dram.prefetchRequests, b.dram.prefetchRequests) << ctx;
-    EXPECT_EQ(a.dram.ocpRequests, b.dram.ocpRequests) << ctx;
-    EXPECT_EQ(a.dram.rowHits, b.dram.rowHits) << ctx;
-    EXPECT_EQ(a.dram.rowMisses, b.dram.rowMisses) << ctx;
-    EXPECT_EQ(a.dram.busBusyCycles, b.dram.busBusyCycles) << ctx;
-    EXPECT_EQ(a.busUtilization, b.busUtilization) << ctx;
-}
-
-/** Per-shard commit-schedule equality with first-divergence info. */
-void
-expectLogsIdentical(const SharedStepLog &want,
-                    const SharedStepLog &got, const char *ctx)
-{
-    ASSERT_EQ(want.shards.size(), got.shards.size())
-        << ctx << ": shard counts differ";
-    bool touched = false;
-    for (std::size_t sh = 0; sh < want.shards.size(); ++sh) {
-        const auto &w = want.shards[sh];
-        const auto &g = got.shards[sh];
-        touched = touched || !w.empty();
-        const std::size_t n = std::min(w.size(), g.size());
-        for (std::size_t i = 0; i < n; ++i) {
-            if (w[i] == g[i])
-                continue;
-            ADD_FAILURE()
-                << ctx << ": shard " << sh
-                << " commit schedules diverge at entry " << i
-                << ": sequential committed core " << w[i].first
-                << " @ cycle " << w[i].second
-                << ", parallel committed core " << g[i].first
-                << " @ cycle " << g[i].second;
-            return;
-        }
-        EXPECT_EQ(w.size(), g.size())
-            << ctx << ": shard " << sh << " schedules agree on the "
-            << "common prefix but have different lengths";
-    }
-    EXPECT_TRUE(touched) << ctx << ": oracle log is empty — the run "
-                         << "never touched shared state";
-}
-
-struct EngineRun
-{
-    SimResult res;
-    SharedStepLog log;
-};
-
-EngineRun
-runEngine(const SystemConfig &cfg,
-          const std::vector<WorkloadSpec> &specs,
-          std::uint64_t measured, std::uint64_t warmup,
-          unsigned step_threads)
-{
-    EngineRun out;
-    RunPlan plan(measured, warmup);
-    plan.stepThreads = step_threads;
     Simulator sim(cfg, specs);
-    sim.setSharedStepLog(&out.log);
-    out.res = sim.run(plan);
-    return out;
-}
-
-/** Seq-vs-par bit-equality: full result + per-shard commit logs. */
-void
-checkShardedEquivalence(const SystemConfig &cfg,
-                        const std::vector<WorkloadSpec> &specs,
-                        std::uint64_t measured, std::uint64_t warmup,
-                        const char *ctx)
-{
-    EngineRun seq = runEngine(cfg, specs, measured, warmup, 1);
-    EngineRun par =
-        runEngine(cfg, specs, measured, warmup, cfg.cores);
-    expectResultsIdentical(seq.res, par.res, ctx);
-    expectLogsIdentical(seq.log, par.log, ctx);
+    return sim.run({measured, warmup});
 }
 
 // ----------------------------------------------- decode algebra
@@ -235,90 +116,6 @@ TEST(ShardDecode, ExactPartitionForAnyCount)
     }
 }
 
-// --------------------------------------- per-shard commit oracle
-
-TEST(ShardOrder, FourCoreShardedGeometry)
-{
-    // Explicit small sharded geometry at 4 cores: 2 banks, 2
-    // channels, so every shard class has more than one member.
-    SystemConfig cfg =
-        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kAthena);
-    cfg.cores = 4;
-    cfg.llcBanks = 2;
-    cfg.dramChannels = 2;
-    checkShardedEquivalence(cfg, stridedMix(4), 16000, 4000,
-                            "4c_b2ch2");
-}
-
-TEST(ShardOrder, EightCoreShardedGeometry)
-{
-    SystemConfig cfg =
-        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kAthena);
-    cfg.cores = 8;
-    cfg.llcBanks = 4;
-    cfg.dramChannels = 2;
-    checkShardedEquivalence(cfg, stridedMix(8), 8000, 2000,
-                            "8c_b4ch2");
-}
-
-TEST(ShardOrder, SixteenCorePreset)
-{
-    // The 16-core Fig. 16-style preset (4 banks / 2 channels).
-    SystemConfig cfg = makeManyCoreConfig(16);
-    ASSERT_GE(cfg.llcBanks, 2u);
-    ASSERT_GE(cfg.dramChannels, 2u);
-    checkShardedEquivalence(cfg, stridedMix(16), 5000, 1200,
-                            "16c_preset");
-}
-
-TEST(ShardOrder, ThirtyTwoCorePreset)
-{
-    // The 32-core preset (8 banks / 4 channels). Small budget: this
-    // is the widest engine configuration in the test tree.
-    SystemConfig cfg = makeManyCoreConfig(32);
-    ASSERT_GE(cfg.llcBanks, 2u);
-    ASSERT_GE(cfg.dramChannels, 2u);
-    checkShardedEquivalence(cfg, stridedMix(32), 3000, 800,
-                            "32c_preset");
-}
-
-TEST(ShardOrder, OddShardCountsDivisionDecode)
-{
-    // Non-pow2 bank and channel counts exercise the reciprocal
-    // division decode on every shared access. The seq-vs-par oracle
-    // must hold there exactly as on the shift/mask path.
-    SystemConfig cfg =
-        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kAthena);
-    cfg.cores = 4;
-    cfg.llcBanks = 3;
-    cfg.dramChannels = 3;
-    checkShardedEquivalence(cfg, stridedMix(4), 12000, 3000,
-                            "4c_b3ch3");
-}
-
-TEST(ShardOrder, GeometryMatrixSeqParEquality)
-{
-    // Every geometry in {1,2,4,8} banks x {1,2,4} channels must
-    // satisfy the oracle. (Results differ ACROSS channel counts —
-    // bandwidth is per channel — but seq and par must agree within
-    // each geometry.)
-    SystemConfig base =
-        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kAthena);
-    base.cores = 4;
-    std::vector<WorkloadSpec> mix = stridedMix(4);
-    for (unsigned banks : {1u, 2u, 4u, 8u}) {
-        for (unsigned channels : {1u, 2u, 4u}) {
-            SystemConfig cfg = base;
-            cfg.llcBanks = banks;
-            cfg.dramChannels = channels;
-            std::string ctx = "b" + std::to_string(banks) + "ch" +
-                              std::to_string(channels);
-            checkShardedEquivalence(cfg, mix, 6000, 1500,
-                                    ctx.c_str());
-        }
-    }
-}
-
 // ------------------------------------- bank-count bit-invariance
 
 TEST(ShardOrder, Pow2BankCountIsBitInvariant)
@@ -334,51 +131,57 @@ TEST(ShardOrder, Pow2BankCountIsBitInvariant)
     std::vector<WorkloadSpec> mix = stridedMix(4);
 
     base.llcBanks = 1;
-    EngineRun want = runEngine(base, mix, 16000, 4000, 1);
+    const SimResult want = runStraight(base, mix, 16000, 4000);
     for (unsigned banks : {2u, 4u, 8u}) {
         SystemConfig cfg = base;
         cfg.llcBanks = banks;
         std::string ctx = "banks=" + std::to_string(banks);
-        EngineRun seq = runEngine(cfg, mix, 16000, 4000, 1);
-        expectResultsIdentical(want.res, seq.res, ctx.c_str());
-        EngineRun par = runEngine(cfg, mix, 16000, 4000, cfg.cores);
-        expectResultsIdentical(want.res, par.res,
-                               (ctx + "_par").c_str());
+        expectResultsIdentical(want, runStraight(cfg, mix, 16000, 4000),
+                               ctx.c_str());
     }
 }
 
 // ------------------------------------------- snapshot / resume
 
+TEST(ShardOrder, GeometryMatrixResumeEquality)
+{
+    // Results differ ACROSS channel counts (bandwidth is per
+    // channel), but within each geometry resuming from the warmup
+    // snapshot must reproduce the straight-through run.
+    SystemConfig base =
+        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kAthena);
+    base.cores = 4;
+    std::vector<WorkloadSpec> mix = stridedMix(4);
+    std::vector<std::pair<unsigned, unsigned>> geometries;
+    for (unsigned banks : {1u, 2u, 4u, 8u}) {
+        for (unsigned channels : {1u, 2u, 4u})
+            geometries.emplace_back(banks, channels);
+    }
+    // Non-pow2 counts: the reciprocal-division decode on every
+    // shared access.
+    geometries.emplace_back(3u, 3u);
+    for (const auto &[banks, channels] : geometries) {
+        SystemConfig cfg = base;
+        cfg.llcBanks = banks;
+        cfg.dramChannels = channels;
+        std::string ctx = "shard_b" + std::to_string(banks) + "ch" +
+                          std::to_string(channels);
+        checkResumeEquivalence(cfg, mix, 6000, 1500, ctx.c_str());
+    }
+}
+
 TEST(ShardOrder, SnapshotResumeOnShardedGeometry)
 {
-    // Snapshot-at-warmup under the parallel engine on a sharded
-    // geometry, then a parallel resume: both must equal the
-    // sequential straight-through run.
+    // Snapshot-at-warmup on a sharded geometry at the suite's longer
+    // budget: the straight-through, snapshot-taking and resumed runs
+    // agree.
     SystemConfig cfg =
         makeDesignConfig(CacheDesign::kCd1, PolicyKind::kAthena);
     cfg.cores = 4;
     cfg.llcBanks = 4;
     cfg.dramChannels = 2;
-    std::vector<WorkloadSpec> mix = stridedMix(4);
-    constexpr std::uint64_t kMeasured = 16000;
-    constexpr std::uint64_t kWarm = 4000;
-
-    EngineRun want = runEngine(cfg, mix, kMeasured, kWarm, 1);
-
-    const std::string path = tmpPath("b4ch2");
-    RunPlan snap_plan(kMeasured, kWarm);
-    snap_plan.stepThreads = cfg.cores;
-    snap_plan.snapshotAfterWarmup = path;
-    Simulator source(cfg, mix);
-    SimResult via_snapshot = source.run(snap_plan);
-    expectResultsIdentical(want.res, via_snapshot, "snap_source");
-
-    RunPlan resume_plan(kMeasured, kWarm);
-    resume_plan.stepThreads = cfg.cores;
-    Simulator resumed(cfg, mix, path);
-    SimResult got = resumed.run(resume_plan);
-    expectResultsIdentical(want.res, got, "snap_resume");
-    std::remove(path.c_str());
+    checkResumeEquivalence(cfg, stridedMix(4), 16000, 4000,
+                           "shard_long_b4ch2");
 }
 
 TEST(ShardOrder, GeometryMismatchRestoreIsNamedError)
@@ -395,7 +198,6 @@ TEST(ShardOrder, GeometryMismatchRestoreIsNamedError)
 
     const std::string path = tmpPath("geom_mismatch");
     RunPlan plan(4000, 1000);
-    plan.stepThreads = 1;
     plan.snapshotAfterWarmup = path;
     Simulator source(cfg, mix);
     source.run(plan);

@@ -729,6 +729,79 @@ TEST(SnapshotRangeGuards, CoreCursorsAreRangeChecked)
                    "core MSHR count");
 }
 
+TEST(SnapshotRangeGuards, BertiCursorsAreRangeChecked)
+{
+    // observeImpl writes hist[histHead] and reads active[i] for
+    // i < activeCount, unchecked.
+    SystemConfig cfg =
+        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kNaive);
+    cfg.l1dPf = PrefetcherKind::kBerti;
+    const auto clean = warmupSnapshot(cfg);
+    const std::string tag = "c0/pf0";
+    const SectionLoc loc = locateSection(clean, tag);
+    // BertiPrefetcher::saveState: u32 degree, then per table entry
+    // u16 tag, bool valid, 8 x (u64 line, u64 cycle, bool valid),
+    // u32 histHead, 16 x (i32 delta, u32 score), u32 round accesses,
+    // 4 x i32 active deltas, u32 activeCount. Entry 0's fields:
+    constexpr std::size_t kHistHead = 4 + 2 + 1 + 8 * 17;
+    constexpr std::size_t kActiveCount = kHistHead + 4 + 16 * 8 + 4 +
+                                         4 * 4;
+    static_assert(kHistHead == 143 && kActiveCount == 295);
+    ASSERT_LT(loadLe32(&clean[loc.offset + kHistHead]), 8u);
+    ASSERT_LE(loadLe32(&clean[loc.offset + kActiveCount]), 4u);
+
+    auto with = [&](std::size_t field, std::uint32_t v) {
+        auto bytes = clean;
+        storeLe32(&bytes[loc.offset + field], v);
+        return bytes;
+    };
+
+    // Control: in-range edits resume and run.
+    const std::pair<std::size_t, std::uint32_t> valid[] = {
+        {kHistHead, 7}, {kActiveCount, 4}};
+    for (const auto &[field, v] : valid) {
+        EXPECT_GE(runResealed(cfg, with(field, v), tag, 2000), 2000u)
+            << "offset " << field;
+    }
+    expectRejected(cfg, with(kHistHead, 8), tag, "Berti history head");
+    expectRejected(cfg, with(kHistHead, 0xffffffffu), tag,
+                   "Berti history head");
+    expectRejected(cfg, with(kActiveCount, 5), tag,
+                   "Berti active delta count");
+    expectRejected(cfg, with(kActiveCount, 0xffffffffu), tag,
+                   "Berti active delta count");
+}
+
+TEST(SnapshotRangeGuards, CoreRestoredPastWarmupStopStillRuns)
+{
+    // A hand-edited snapshot can leave a core that has not latched
+    // its warmup crossing already past the warmup stop of its first
+    // burst. The run must step it once, latch, and measure up to the
+    // budget; a burst length of stop - retired would underflow and
+    // the single-core burst would never return.
+    const SystemConfig cfg =
+        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kNaive);
+    auto bytes = warmupSnapshot(cfg);
+    // CoreModel::saveState: u32 robSize, u32 l1Mshrs, u64 dispatch
+    // cycle, three u32, u64 last retire cycle, two u32, u64
+    // prevLoadComplete, u64 frontier, then u64 retired instructions.
+    constexpr std::size_t kRetired = 60;
+    const SectionLoc core = locateSection(bytes, "c0/core");
+    ASSERT_EQ(loadLe32(&bytes[core.offset + kRetired]), 4000u);
+    storeLe32(&bytes[core.offset + kRetired], 4500);
+    resealSection(bytes, core);
+    // Simulator::saveTo's resume section: u64 warmup, bool
+    // anyStarted, six u64 DRAM counters, u64 frontier, then per core
+    // bool started and seven u64 start samples.
+    constexpr std::size_t kStarted0 = 8 + 1 + 6 * 8 + 8;
+    const SectionLoc resume = locateSection(bytes, "resume");
+    ASSERT_EQ(resume.length, kStarted0 + 1 + 7 * 8);
+    ASSERT_EQ(bytes[resume.offset + kStarted0], 1u);
+    bytes[resume.offset + kStarted0] = 0;
+    // One step re-latches the start at 4501 of the 6000 budget.
+    EXPECT_EQ(runResealed(cfg, bytes, "resume", 2000), 1499u);
+}
+
 // -------------------------------------------- randomized round-trip
 
 /**

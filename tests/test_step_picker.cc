@@ -1,9 +1,9 @@
 /**
  * @file
- * StepPicker tests: min-heap correctness against a reference scan,
- * deterministic lowest-index-first tie-breaking, and the bounded-
- * skew invariant of loose synchronization (the picked core is never
- * ahead of any other unfinished core).
+ * StepPicker tests: min-heap and next-bound correctness against a
+ * reference scan, deterministic lowest-index-first tie-breaking, and
+ * the bounded-skew invariant of loose synchronization (the picked
+ * core is never ahead of any other unfinished core).
  */
 
 #include <cstdint>
@@ -86,6 +86,22 @@ TEST(StepPicker, MatchesReferenceScanUnderRandomAdvances)
                 expect = c;
         }
         ASSERT_EQ(picker.top(), expect);
+
+        // nextBound is the least key among the other cores, or none.
+        unsigned second = kCores;
+        for (unsigned c = 0; c < kCores; ++c) {
+            if (done[c] || c == expect)
+                continue;
+            if (second == kCores || now[c] < now[second])
+                second = c;
+        }
+        const StepPicker::Key bound = picker.nextBound();
+        if (second == kCores) {
+            ASSERT_EQ(bound.core, ~0u);
+        } else {
+            ASSERT_EQ(bound.core, second);
+            ASSERT_EQ(bound.cycle, now[second]);
+        }
 
         // The bounded-skew invariant: the picked core is the least
         // advanced, so stepping it can never widen the spread
