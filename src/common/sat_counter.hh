@@ -73,6 +73,21 @@ class SignedSatCounter
 
     explicit SignedSatCounter(std::int32_t init = 0) : value(init) {}
 
+    /**
+     * Restore a weight that a snapshot stored as raw() (one i32).
+     * A value outside [kMin, kMax] throws SnapshotError naming the
+     * open section: a weight sum over such values overflows int.
+     * (A template so this header need not include the snapshot
+     * reader.)
+     */
+    template <class Reader>
+    static SignedSatCounter
+    restore(Reader &r)
+    {
+        return SignedSatCounter(static_cast<std::int32_t>(
+            r.inRange(r.i32(), kMin, kMax, "perceptron weight")));
+    }
+
     /** Add delta with saturation. */
     void
     add(std::int32_t delta)

@@ -76,8 +76,10 @@ HpacPolicy::saveState(SnapshotWriter &w) const
 void
 HpacPolicy::restoreState(SnapshotReader &r)
 {
-    for (unsigned &l : levels)
-        l = r.u32();
+    for (unsigned &l : levels) {
+        l = static_cast<unsigned>(
+            r.inRange(r.u32(), kMinLevel, kMaxLevel, "HPAC level"));
+    }
     ocpOn = r.boolean();
     ocpOffEpochs = r.u32();
 }

@@ -96,7 +96,7 @@ TlpPolicy::restoreState(SnapshotReader &r)
 {
     for (auto &table : weights) {
         for (SignedSatCounter<6> &c : table)
-            c = SignedSatCounter<6>(r.i32());
+            c = SignedSatCounter<6>::restore(r);
     }
     lastPcsHash = r.u64();
 }

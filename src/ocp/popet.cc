@@ -19,32 +19,14 @@ PopetPredictor::featureIndices(std::uint64_t pc, Addr addr) const
 {
     unsigned line_off = pageLineOffset(addr);
     unsigned byte_off = static_cast<unsigned>(addr & (kLineBytes - 1));
-    Addr page = pageNumber(addr);
-
-    // pc-pure hash work, memoized across the handful of load PCs a
-    // phase rotates through. hashCombine(pc, b) is
-    // mix64(pc ^ (b + K + (pc << 6) + (pc >> 2))); the pc-only term
-    // is captured once per PC.
-    PcMemoEntry &pm = pcMemo[(pc >> 4) & (kPcMemoSize - 1)];
-    if (!pm.valid || pm.pc != pc) {
-        pm.pc = pc;
-        pm.valid = true;
-        pm.pcIdx = static_cast<std::uint16_t>(mix64(pc) % kTableSize);
-        pm.pcTerm = 0x9e3779b97f4a7c15ull + (pc << 6) + (pc >> 2);
-    }
-    if (page != memoPage) {
-        memoPage = page;
-        memoPageIdx =
-            static_cast<std::uint16_t>(mix64(page) % kTableSize);
-    }
-
     return {
-        pm.pcIdx,
-        static_cast<std::uint16_t>(mix64(pc ^ (line_off + pm.pcTerm)) %
+        static_cast<std::uint16_t>(mix64(pc) % kTableSize),
+        static_cast<std::uint16_t>(hashCombine(pc, line_off) %
                                    kTableSize),
-        static_cast<std::uint16_t>(mix64(pc ^ (byte_off + pm.pcTerm)) %
+        static_cast<std::uint16_t>(hashCombine(pc, byte_off) %
                                    kTableSize),
-        memoPageIdx,
+        static_cast<std::uint16_t>(mix64(pageNumber(addr)) %
+                                   kTableSize),
         static_cast<std::uint16_t>(mix64(lastPcsHash) % kTableSize),
     };
 }
@@ -122,9 +104,6 @@ PopetPredictor::reset()
     }
     lastPcsHash = 0;
     memoValid = false;
-    pcMemo.fill(PcMemoEntry{});
-    memoPage = ~0ull;
-    memoPageIdx = 0;
 }
 
 void
@@ -142,13 +121,10 @@ PopetPredictor::restoreState(SnapshotReader &r)
 {
     for (auto &table : weights) {
         for (SignedSatCounter<6> &c : table)
-            c = SignedSatCounter<6>(r.i32());
+            c = SignedSatCounter<6>::restore(r);
     }
     lastPcsHash = r.u64();
     memoValid = false;
-    pcMemo.fill(PcMemoEntry{});
-    memoPage = ~0ull;
-    memoPageIdx = 0;
 }
 
 } // namespace athena

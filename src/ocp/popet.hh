@@ -38,9 +38,8 @@ class PopetPredictor final : public OffChipPredictor
     void reset() override;
 
     /** Snapshot contract: weight tables + PC-history hash. The
-     *  pc/page/one-deep memos are pure caches and are cleared on
-     *  restore (every train is paired with a same-access predict,
-     *  so the fallback path is bit-identical). */
+     *  one-deep memo is cleared on restore: a train() without its
+     *  predict() recomputes, bit-identically. */
     void saveState(SnapshotWriter &w) const override;
     void restoreState(SnapshotReader &r) override;
 
@@ -64,25 +63,6 @@ class PopetPredictor final : public OffChipPredictor
     std::array<std::uint16_t, kFeatures>
     featureIndices(std::uint64_t pc, Addr addr) const;
 
-    /**
-     * Memos of the (pure) pc- and page-derived hash work inside
-     * featureIndices. Demand streams rotate through a handful of
-     * load PCs and dwell on a page for many accesses, so both hit
-     * nearly always; results are bit-identical to recomputing.
-     * mutable: featureIndices is logically const.
-     */
-    struct PcMemoEntry
-    {
-        std::uint64_t pc = 0;
-        bool valid = false;
-        std::uint16_t pcIdx = 0;     ///< mix64(pc) % kTableSize.
-        std::uint64_t pcTerm = 0;    ///< hashCombine's pc-only term.
-    };
-    static constexpr unsigned kPcMemoSize = 16; // power of two
-    mutable std::array<PcMemoEntry, kPcMemoSize> pcMemo{};
-    mutable Addr memoPage = ~0ull;
-    mutable std::uint16_t memoPageIdx = 0;
-
     int sum(const std::array<std::uint16_t, kFeatures> &idx) const;
 
     std::array<std::array<SignedSatCounter<6>, kTableSize>, kFeatures>
@@ -97,6 +77,8 @@ class PopetPredictor final : public OffChipPredictor
      * access, so predict pre-computes the indices train will need
      * (with the PC-history feature already advanced past this
      * load), saving half of the feature hashing on the access path.
+     * Without it every repository benchmark workload ran 3-6%
+     * slower (README, "Demand path").
      */
     std::uint64_t memoPc = 0;
     Addr memoAddr = 0;

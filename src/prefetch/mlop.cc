@@ -135,7 +135,8 @@ MlopPrefetcher::restoreState(SnapshotReader &r)
         s = r.u32();
     for (int &a : active)
         a = r.i32();
-    activeCount = r.u32();
+    activeCount = static_cast<unsigned>(r.bounded(
+        r.u32(), active.size() + 1, "MLOP active offset count"));
     roundAccesses = r.u32();
     lruClock = r.u64();
 }

@@ -149,20 +149,18 @@ PythiaPrefetcher::observeImpl(const PrefetchTrigger &trigger,
     }
 
     if (pythiaTraceEnabled()) {
-        static std::uint64_t observes = 0;
-        static std::array<std::uint64_t, kActions> chosen{};
-        ++chosen[action];
-        if (++observes % 512 == 0) {
+        ++traceChosen[action];
+        if (++traceObserves % 512 == 0) {
             std::fprintf(stderr, "pythia: obs=%llu delta=%d act=%u "
                                  "q0=%.2f q1=%.2f qa=%.2f top=[",
-                         static_cast<unsigned long long>(observes),
+                         static_cast<unsigned long long>(traceObserves),
                          delta, action, q(f1, f2, 0), q(f1, f2, 1),
                          q(f1, f2, action));
             for (unsigned a = 0; a < kActions; ++a) {
-                if (chosen[a])
+                if (traceChosen[a])
                     std::fprintf(stderr, "%d:%llu ", kOffsets[a],
                                  static_cast<unsigned long long>(
-                                     chosen[a]));
+                                     traceChosen[a]));
             }
             std::fprintf(stderr, "]\n");
         }

@@ -50,8 +50,7 @@ class PythiaPrefetcher final : public Prefetcher
     void reset() override;
 
     /** Snapshot contract: Q planes, the EQ ring, the feature
-     *  history and RNG. The delta-sequence memo is pure and is
-     *  rebuilt on demand; epsilonThreshold is a constant. */
+     *  history and RNG; epsilonThreshold is a constant. */
     void saveState(SnapshotWriter &w) const override;
     void restoreState(SnapshotReader &r) override;
 
@@ -163,6 +162,11 @@ class PythiaPrefetcher final : public Prefetcher
     /** The last four line deltas, clamped to [-64, 64], one
      *  signed byte each (newest in the low byte). */
     std::uint32_t histKey = 0;
+
+    /** ATHENA_PYTHIA_TRACE's counts for this prefetcher alone
+     *  (diagnostics; not part of the snapshot). */
+    std::uint64_t traceObserves = 0;
+    std::array<std::uint64_t, kActions> traceChosen{};
 };
 
 } // namespace athena

@@ -222,11 +222,13 @@ SppPpfPrefetcher::restoreState(SnapshotReader &r)
     }
     for (auto &table : ppf) {
         for (SignedSatCounter<6> &c : table)
-            c = SignedSatCounter<6>(r.i32());
+            c = SignedSatCounter<6>::restore(r);
     }
     for (Record &rec : ring) {
-        for (std::uint16_t &idx : rec.featureIdx)
-            idx = r.u16();
+        for (std::uint16_t &idx : rec.featureIdx) {
+            idx = static_cast<std::uint16_t>(r.bounded(
+                r.u16(), kPpfTableSize, "SPP-PPF feature index"));
+        }
         rec.open = r.boolean();
     }
     ringHead = r.u64();

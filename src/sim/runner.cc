@@ -5,19 +5,21 @@
 
 #include "sim/runner.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/stats.hh"
-#include "sim/thread_pool.hh"
 #include "snapshot/snapshot.hh"
 
 namespace athena
@@ -52,12 +54,55 @@ hex64(std::uint64_t v)
     return buf;
 }
 
+/** True while this thread drains a parallelFor: nested calls run
+ *  inline instead of starting threads of their own. */
+thread_local bool tls_draining = false;
+
 } // namespace
 
 void
 parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn)
 {
-    ThreadPool::instance().run(n, fn);
+    const std::size_t hw = std::thread::hardware_concurrency();
+    if (n <= 1 || hw <= 1 || tls_draining) {
+        for (std::size_t i = 0; i < n; ++i)
+            fn(i);
+        return;
+    }
+
+    std::atomic<std::size_t> next{0};
+    // Set by the first index that throws; that thread alone writes
+    // `first`, which the caller reads only after every join.
+    std::atomic<bool> failed{false};
+    std::exception_ptr first;
+    const auto drain = [&] {
+        tls_draining = true;
+        while (!failed.load(std::memory_order_relaxed)) {
+            const std::size_t i =
+                next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= n)
+                break;
+            try {
+                fn(i);
+            } catch (...) {
+                if (!failed.exchange(true))
+                    first = std::current_exception();
+            }
+        }
+        tls_draining = false;
+    };
+    {
+        // Declared after everything drain() uses, so the helpers
+        // join here even if starting one of them throws.
+        const std::size_t threads = std::min(n, hw);
+        std::vector<std::jthread> helpers;
+        helpers.reserve(threads - 1);
+        for (std::size_t t = 1; t < threads; ++t)
+            helpers.emplace_back(drain);
+        drain();
+    }
+    if (first)
+        std::rethrow_exception(first);
 }
 
 RunBudget

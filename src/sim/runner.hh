@@ -66,11 +66,15 @@ struct CategorySummary
 };
 
 /**
- * Run fn(i) for i in [0, n) across hardware threads.
+ * Run fn(i) once for each i in [0, n) across hardware threads.
  *
- * Backed by the process-wide persistent ThreadPool (see
- * sim/thread_pool.hh): no per-call thread spawning, safe under
- * nested and back-to-back calls.
+ * Each call starts min(n, hardware threads) - 1 helper threads that
+ * drain one shared index cursor together with the calling thread,
+ * and joins them before it returns. A call made from inside fn, on
+ * any thread, runs inline on that thread, as does a call with
+ * n <= 1 or on a one-CPU host. When fn throws, no further indices
+ * start; the indices already running finish, and the first
+ * exception is rethrown on the caller after every helper joined.
  */
 void parallelFor(std::size_t n,
                  const std::function<void(std::size_t)> &fn);

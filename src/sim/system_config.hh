@@ -74,8 +74,8 @@ struct SystemConfig
      * counts up to the set count are bit-invariant among themselves
      * (the interleave is a pure re-labeling of the set index).
      * Non-power-of-two counts are supported via the division decode.
-     * llcBanks + dramChannels must not exceed 64 (the per-step
-     * shard-touch bitmask width).
+     * llcBanks + dramChannels must not exceed 64, a cap on outside
+     * input that the Simulator constructor enforces.
      */
     unsigned llcBanks = 1;
     unsigned dramChannels = 1;

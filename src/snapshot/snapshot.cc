@@ -464,6 +464,18 @@ SnapshotReader::outOfRange(std::uint64_t v, std::uint64_t limit,
                                     "; corrupt snapshot)");
 }
 
+void
+SnapshotReader::outOfRange(std::int64_t v, std::int64_t lo,
+                           std::int64_t hi, const char *what) const
+{
+    throw SnapshotError(curTag, std::string(what) + " " +
+                                    std::to_string(v) +
+                                    " out of range (must be in [" +
+                                    std::to_string(lo) + ", " +
+                                    std::to_string(hi) +
+                                    "]; corrupt snapshot)");
+}
+
 std::uint8_t
 SnapshotReader::u8()
 {

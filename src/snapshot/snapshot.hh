@@ -236,6 +236,21 @@ class SnapshotReader
         return v;
     }
 
+    /**
+     * Range guard for a restored value with a lower bound too (a
+     * signed weight, a level): return @p v when it lies in
+     * [@p lo, @p hi], else throw SnapshotError naming the current
+     * section and @p what.
+     */
+    std::int64_t
+    inRange(std::int64_t v, std::int64_t lo, std::int64_t hi,
+            const char *what) const
+    {
+        if (v < lo || v > hi)
+            outOfRange(v, lo, hi, what);
+        return v;
+    }
+
     /** Bytes left unread in the open section. */
     std::size_t remaining() const { return secEnd - cursor; }
 
@@ -258,6 +273,8 @@ class SnapshotReader
     [[noreturn]] void underflow(std::size_t need);
     [[noreturn]] void outOfRange(std::uint64_t v, std::uint64_t limit,
                                  const char *what) const;
+    [[noreturn]] void outOfRange(std::int64_t v, std::int64_t lo,
+                                 std::int64_t hi, const char *what) const;
 
     const std::uint8_t *data = nullptr;
     std::size_t size = 0;

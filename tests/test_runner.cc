@@ -6,19 +6,21 @@
  */
 
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <cstdlib>
 #include <gtest/gtest.h>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "sim/runner.hh"
-#include "sim/thread_pool.hh"
 
 namespace athena
 {
@@ -109,6 +111,21 @@ TEST_F(RunnerTest, SpeedupsCoverAllWorkloads)
         EXPECT_GT(rows[i].speedup, 0.2);
         EXPECT_LT(rows[i].speedup, 5.0);
     }
+}
+
+TEST_F(RunnerTest, SweepOverRejectedConfigThrows)
+{
+    // The Simulator constructor rejects the config on whichever
+    // thread runs an index; the sweep must hand that error to the
+    // caller rather than end the process.
+    ExperimentRunner runner;
+    auto workloads = evalWorkloads();
+    std::vector<WorkloadSpec> subset(workloads.begin(),
+                                     workloads.begin() + 8);
+    SystemConfig cfg =
+        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kOcpOnly);
+    cfg.bandwidthGBps = 0.0;
+    EXPECT_THROW(runner.speedups(cfg, subset), std::invalid_argument);
 }
 
 TEST_F(RunnerTest, SummarizeSplitsCategories)
@@ -236,28 +253,50 @@ TEST(ParallelFor, HandlesEmptyAndSingle)
     EXPECT_EQ(count, 1);
 }
 
-TEST(ParallelFor, PoolIsPersistentAcrossCalls)
+TEST(ParallelFor, NeverExceedsHardwareThreads)
 {
-    // parallelFor is backed by a lazily-created persistent pool:
-    // back-to-back calls must reuse the same worker threads rather
-    // than spawning fresh ones per call.
-    ThreadPool &pool = ThreadPool::instance();
-    unsigned workers_before = pool.workerCount();
-
-    std::mutex mtx;
-    std::set<std::thread::id> seen;
+    // Each call runs its indices on the caller plus at most
+    // hardware_concurrency - 1 helpers it starts itself.
+    const std::size_t hw =
+        std::max(1u, std::thread::hardware_concurrency());
     for (int round = 0; round < 8; ++round) {
+        std::mutex mtx;
+        std::set<std::thread::id> seen;
         parallelFor(64, [&](std::size_t) {
             std::lock_guard<std::mutex> lock(mtx);
             seen.insert(std::this_thread::get_id());
         });
+        EXPECT_LE(seen.size(), hw) << "round " << round;
     }
-    // Every executing thread across all rounds is either a pool
-    // worker or the caller.
-    EXPECT_LE(seen.size(), static_cast<std::size_t>(
-                               pool.workerCount() + 1));
-    EXPECT_EQ(pool.workerCount(), workers_before)
-        << "repeated calls must not grow the pool";
+}
+
+TEST(ParallelFor, RethrowsFirstExceptionAfterJoin)
+{
+    // Every third index throws, every other one outlasts the
+    // throwers: the call must throw only after every running index
+    // returned, and must not start any index twice.
+    const std::size_t n = 48;
+    std::vector<std::atomic<int>> hits(n);
+    std::atomic<int> running{0};
+    bool caught = false;
+    try {
+        parallelFor(n, [&](std::size_t i) {
+            ++running;
+            ++hits[i];
+            if (i % 3 == 1) {
+                --running;
+                throw std::runtime_error("index " + std::to_string(i));
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            --running;
+        });
+    } catch (const std::runtime_error &) {
+        caught = true;
+        EXPECT_EQ(running.load(), 0) << "an index outlived the call";
+    }
+    EXPECT_TRUE(caught);
+    for (std::size_t i = 0; i < n; ++i)
+        EXPECT_LE(hits[i].load(), 1) << "index " << i;
 }
 
 TEST(ParallelFor, NestedCallsRunInlineWithoutDeadlock)

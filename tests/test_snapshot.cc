@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "common/sat_counter.hh"
 #include "mem/cache.hh"
 #include "prefetch/pythia.hh"
 #include "sim/simulator.hh"
@@ -770,6 +771,133 @@ TEST(SnapshotRangeGuards, BertiCursorsAreRangeChecked)
                    "Berti active delta count");
     expectRejected(cfg, with(kActiveCount, 0xffffffffu), tag,
                    "Berti active delta count");
+}
+
+TEST(SnapshotRangeGuards, PerceptronWeightsAreRangeChecked)
+{
+    // predict() and train() sum five restored weights into an int:
+    // weights near INT32_MAX overflow it. POPET, TLP and SPP-PPF
+    // restore their weights through the same checked path.
+    const SystemConfig cfg =
+        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kNaive);
+    const auto clean = warmupSnapshot(cfg);
+    const std::string tag = "c0/ocp";
+    const SectionLoc loc = locateSection(clean, tag);
+    // PopetPredictor::saveState: 5 x 1024 i32 weights, u64 history.
+    ASSERT_EQ(loc.length, 5 * 1024 * 4 + 8u);
+    using Weight = SignedSatCounter<6>;
+
+    auto with = [&](std::int32_t v) {
+        auto bytes = clean;
+        storeLe32(&bytes[loc.offset], static_cast<std::uint32_t>(v));
+        return bytes;
+    };
+
+    // Control: the extreme valid weights resume and run.
+    for (std::int32_t v : {Weight::kMax, Weight::kMin})
+        EXPECT_GE(runResealed(cfg, with(v), tag, 2000), 2000u) << v;
+    expectRejected(cfg, with(Weight::kMax + 1), tag, "perceptron weight");
+    expectRejected(cfg, with(INT32_MAX), tag, "perceptron weight");
+}
+
+TEST(SnapshotRangeGuards, MlopActiveCountIsRangeChecked)
+{
+    // observeImpl reads active[i] for i < activeCount, and
+    // activeOffsets() copies that range, unchecked.
+    SystemConfig cfg =
+        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kNaive);
+    cfg.l1dPf = PrefetcherKind::kMlop;
+    const auto clean = warmupSnapshot(cfg);
+    const std::string tag = "c0/pf0";
+    const SectionLoc loc = locateSection(clean, tag);
+    // MlopPrefetcher::saveState: u32 degree, 32 x (u64 tag, bool
+    // valid, u64 bitmap, u64 LRU stamp), 63 x u32 scores, 4 x i32
+    // active offsets, u32 activeCount, u32 round accesses, u64 LRU
+    // clock.
+    constexpr std::size_t kActiveCount = 4 + 32 * 25 + 63 * 4 + 4 * 4;
+    ASSERT_EQ(loc.length, kActiveCount + 16);
+    ASSERT_LE(loadLe32(&clean[loc.offset + kActiveCount]), 4u);
+
+    auto with = [&](std::uint32_t v) {
+        auto bytes = clean;
+        storeLe32(&bytes[loc.offset + kActiveCount], v);
+        return bytes;
+    };
+
+    EXPECT_GE(runResealed(cfg, with(4), tag, 2000), 2000u);
+    expectRejected(cfg, with(5), tag, "MLOP active offset count");
+    expectRejected(cfg, with(0xffffffffu), tag,
+                   "MLOP active offset count");
+}
+
+TEST(SnapshotRangeGuards, SppPpfFeatureIndicesAreRangeChecked)
+{
+    // Useful/useless feedback on a ring record trains
+    // ppf[t][featureIdx[t]], unchecked.
+    SystemConfig cfg =
+        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kNaive);
+    cfg.l2cPf = PrefetcherKind::kSppPpf;
+    const auto clean = warmupSnapshot(cfg);
+    const std::string tag = "c0/pf0";
+    const SectionLoc loc = locateSection(clean, tag);
+    // SppPpfPrefetcher::saveState: u32 degree, 64 signature-table
+    // entries of 15 bytes, 512 pattern-table entries of 9 bytes,
+    // 3 x 1024 i32 weights, 128 ring records {3 x u16 feature
+    // index, bool open}, u64 ring head.
+    constexpr std::size_t kRing = 4 + 64 * 15 + 512 * 9 + 3 * 1024 * 4;
+    ASSERT_EQ(loc.length, kRing + 128 * 7 + 8);
+    const std::size_t first = kRing;            // record 0, index 0
+    const std::size_t last = kRing + 127 * 7 + 4; // record 127, index 2
+
+    auto with = [&](std::size_t field, std::uint16_t v) {
+        auto bytes = clean;
+        bytes[loc.offset + field] = static_cast<std::uint8_t>(v);
+        bytes[loc.offset + field + 1] = static_cast<std::uint8_t>(v >> 8);
+        return bytes;
+    };
+
+    for (std::size_t field : {first, last}) {
+        EXPECT_GE(runResealed(cfg, with(field, 1023), tag, 2000), 2000u)
+            << "offset " << field;
+        expectRejected(cfg, with(field, 1024), tag,
+                       "SPP-PPF feature index");
+        expectRejected(cfg, with(field, 0xffff), tag,
+                       "SPP-PPF feature index");
+    }
+}
+
+TEST(SnapshotRangeGuards, HpacLevelsAreRangeChecked)
+{
+    // The next epoch turns each level into a degree scale of
+    // level / kMaxLevel; a level near 2^32 makes SMS's degree (up to
+    // 8) overflow the unsigned it is converted to. CD3 runs SMS
+    // (slot 0) and Pythia (slot 1).
+    SystemConfig cfg =
+        makeDesignConfig(CacheDesign::kCd3, PolicyKind::kHpac);
+    cfg.epochInstructions = 1000;
+    const auto clean = warmupSnapshot(cfg);
+    const std::string tag = "c0/policy";
+    const SectionLoc loc = locateSection(clean, tag);
+    // HpacPolicy::saveState: 2 x u32 levels, bool OCP on, u32 OCP
+    // off epochs.
+    ASSERT_EQ(loc.length, 2 * 4 + 1 + 4u);
+
+    auto with = [&](std::size_t slot, std::uint32_t v) {
+        auto bytes = clean;
+        storeLe32(&bytes[loc.offset + 4 * slot], v);
+        return bytes;
+    };
+
+    const std::uint64_t two_epochs = 2 * cfg.epochInstructions;
+    for (std::size_t slot : {0u, 1u}) {
+        for (std::uint32_t v : {1u, 5u}) {
+            EXPECT_GE(runResealed(cfg, with(slot, v), tag, two_epochs),
+                      two_epochs)
+                << "slot " << slot << " level " << v;
+        }
+        for (std::uint32_t v : {0u, 6u, 0xffffffffu})
+            expectRejected(cfg, with(slot, v), tag, "HPAC level");
+    }
 }
 
 TEST(SnapshotRangeGuards, CoreRestoredPastWarmupStopStillRuns)
