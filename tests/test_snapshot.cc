@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <gtest/gtest.h>
 #include <string>
@@ -24,6 +25,7 @@
 #include "sim/simulator.hh"
 #include "sim/system_config.hh"
 #include "snapshot/snapshot.hh"
+#include "trace/trace_file.hh"
 #include "trace/zoo.hh"
 
 namespace athena
@@ -980,6 +982,183 @@ TEST(SnapshotProperty, SaveRestoreSaveIsByteIdentical)
             << static_cast<int>(cfg.policy) << " wl " << wl.name;
         std::remove(p1.c_str());
         std::remove(p2.c_str());
+    }
+}
+
+// ------------------------------------------------------ layout pin
+
+/** Length and whole-file checksum of one pinned snapshot. */
+struct PinnedSnapshot
+{
+    const char *name;
+    std::uint64_t bytes;
+    std::uint64_t checksum;
+};
+
+/** One pinned configuration: its system and one workload per core. */
+struct PinCase
+{
+    const char *name;
+    SystemConfig cfg;
+    std::vector<WorkloadSpec> workloads;
+};
+
+/** Design @p d under policy @p p with the given component kinds. */
+SystemConfig
+pinConfig(CacheDesign d, PolicyKind p, PrefetcherKind l1d,
+          PrefetcherKind l2c, OcpKind ocp)
+{
+    SystemConfig cfg = makeDesignConfig(d, p);
+    cfg.l1dPf = l1d;
+    cfg.l2cPf = l2c;
+    cfg.l2cPf2 = PrefetcherKind::kNone;
+    cfg.ocp = ocp;
+    // Short epochs put several policy decisions inside the warmup.
+    cfg.epochInstructions = 1000;
+    return cfg;
+}
+
+std::vector<PinCase>
+pinCases()
+{
+    using PK = PrefetcherKind;
+    const WorkloadSpec stream = pickWorkload("bwaves");
+    const WorkloadSpec chase = pickWorkload("mcf");
+    std::vector<PinCase> cases;
+    // Every prefetcher kind in one of the two slots, every OCP kind
+    // and every policy kind.
+    cases.push_back({"nextline_stride_hmp_tlp",
+                     pinConfig(CacheDesign::kCd4, PolicyKind::kTlp,
+                               PK::kNextLine, PK::kStride, OcpKind::kHmp),
+                     {stream}});
+    cases.push_back({"ipcp_sppppf_ttp_hpac",
+                     pinConfig(CacheDesign::kCd4, PolicyKind::kHpac,
+                               PK::kIpcp, PK::kSppPpf, OcpKind::kTtp),
+                     {chase}});
+    cases.push_back({"berti_mlop_none_mab",
+                     pinConfig(CacheDesign::kCd4, PolicyKind::kMab,
+                               PK::kBerti, PK::kMlop, OcpKind::kNone),
+                     {stream}});
+    SystemConfig cd3 = makeDesignConfig(CacheDesign::kCd3,
+                                        PolicyKind::kAthena);
+    cd3.epochInstructions = 1000;
+    cases.push_back({"sms_pythia_popet_athena_float", cd3, {chase}});
+    SystemConfig quantized = makeDesignConfig(CacheDesign::kCd4,
+                                              PolicyKind::kAthena);
+    quantized.epochInstructions = 1000;
+    quantized.athena.qv.quantized = true;
+    cases.push_back(
+        {"ipcp_pythia_popet_athena_quantized", quantized, {stream}});
+    cases.push_back({"stride_pythia_hmp_naive",
+                     pinConfig(CacheDesign::kCd1, PolicyKind::kNaive,
+                               PK::kStride, PK::kPythia, OcpKind::kHmp),
+                     {chase}});
+    cases.push_back({"berti_sms_ttp_alloff",
+                     pinConfig(CacheDesign::kCd4, PolicyKind::kAllOff,
+                               PK::kBerti, PK::kSms, OcpKind::kTtp),
+                     {stream}});
+    cases.push_back({"ipcp_mlop_popet_pfonly",
+                     pinConfig(CacheDesign::kCd4, PolicyKind::kPfOnly,
+                               PK::kIpcp, PK::kMlop, OcpKind::kPopet),
+                     {chase}});
+    cases.push_back({"nextline_sppppf_hmp_ocponly",
+                     pinConfig(CacheDesign::kCd4, PolicyKind::kOcpOnly,
+                               PK::kNextLine, PK::kSppPpf,
+                               OcpKind::kHmp),
+                     {stream}});
+    cases.push_back({"berti_pythia_popet_athena",
+                     pinConfig(CacheDesign::kCd4, PolicyKind::kAthena,
+                               PK::kBerti, PK::kPythia, OcpKind::kPopet),
+                     {chase}});
+    cases.push_back({"ipcp_stride_popet_mab",
+                     pinConfig(CacheDesign::kCd4, PolicyKind::kMab,
+                               PK::kIpcp, PK::kStride, OcpKind::kPopet),
+                     {chase}});
+    // Four cores over two LLC banks and two DRAM channels.
+    SystemConfig mix = makeManyCoreConfig(4, CacheDesign::kCd3,
+                                          PolicyKind::kHpac);
+    mix.llcBanks = 2;
+    mix.dramChannels = 2;
+    mix.epochInstructions = 1000;
+    cases.push_back({"mix4_b2_ch2_hpac", mix,
+                     {stream, chase, pickWorkload("xalancbmk"),
+                      pickWorkload("gromacs")}});
+    // A trace replayed in an endless loop: the warmup wraps it.
+    cases.push_back(
+        {"trace_loop_naive",
+         makeDesignConfig(CacheDesign::kCd2, PolicyKind::kNaive),
+         {traceWorkloadSpec("t.mix",
+                            std::string(ATHENA_TEST_DATA_DIR) +
+                                "/sample_mix.bin",
+                            0)}});
+    SystemConfig tlp = makeDesignConfig(CacheDesign::kCd2,
+                                        PolicyKind::kTlp);
+    tlp.epochInstructions = 1000;
+    cases.push_back({"ipcp_popet_tlp", tlp, {stream}});
+    return cases;
+}
+
+/**
+ * The ASNP v5 bytes of every component kind, pinned by file length
+ * and whole-file checksum. SaveRestoreSaveIsByteIdentical only
+ * proves one build agrees with itself: a layout change made on both
+ * the save and the restore side would pass it, and a resume from a
+ * stale ATHENA_SNAPSHOT_DIR entry would then read shifted fields
+ * without an error. A deliberate layout change bumps
+ * kSnapshotVersion and regenerates this table (run with
+ * ATHENA_GOLDEN_PRINT=1 and paste the printed rows).
+ */
+TEST(SnapshotLayout, BytesArePinned)
+{
+    constexpr PinnedSnapshot kPinned[] = {
+        {"nextline_stride_hmp_tlp", 2570033u, 0x3eaa2ffe0b9a9a1cull},
+        {"ipcp_sppppf_ttp_hpac", 2711246u, 0xd6531b487a49d39cull},
+        {"berti_mlop_none_mab", 2513601u, 0xd286b00a6fb61261ull},
+        {"sms_pythia_popet_athena_float", 2575004u,
+         0x59e7d122790e97efull},
+        {"ipcp_pythia_popet_athena_quantized", 2559108u,
+         0x6a6db43f128cfa64ull},
+        {"stride_pythia_hmp_naive", 2577742u, 0x7d2040da2711fb11ull},
+        {"berti_sms_ttp_alloff", 2712913u, 0xe5b742704e5f0118ull},
+        {"ipcp_mlop_popet_pfonly", 2517429u, 0x9f2c7aa773c05342ull},
+        {"nextline_sppppf_hmp_ocponly", 2554289u, 0xd78b66c8d109a212ull},
+        {"berti_pythia_popet_athena", 2590004u, 0x68c75d9d3c08afdaull},
+        {"ipcp_stride_popet_mab", 2518221u, 0x7dc59023081bc984ull},
+        {"mix4_b2_ch2_hpac", 10232357u, 0xb7426b7029e7ee97ull},
+        {"trace_loop_naive", 2516232u, 0x85d73d7057e18e05ull},
+        {"ipcp_popet_tlp", 2549069u, 0xcc1c71bac757c062ull},
+    };
+    const char *print = std::getenv("ATHENA_GOLDEN_PRINT");
+    const bool print_mode = print && *print && *print != '0';
+
+    const std::vector<PinCase> cases = pinCases();
+    ASSERT_TRUE(print_mode || std::size(kPinned) == cases.size());
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        const PinCase &pc = cases[i];
+        const std::string path = tmpPath(std::string("pin_") + pc.name);
+        Simulator sim(pc.cfg, pc.workloads);
+        RunPlan plan;
+        plan.measured = 0;
+        plan.warmup = 3000;
+        plan.snapshotAfterWarmup = path;
+        sim.run(plan);
+        const auto bytes = readFile(path);
+        std::remove(path.c_str());
+        const std::uint64_t sum =
+            snapshotChecksum(bytes.data(), bytes.size());
+        if (print_mode) {
+            std::printf("        {\"%s\", %lluu, 0x%016llxull},\n",
+                        pc.name,
+                        static_cast<unsigned long long>(bytes.size()),
+                        static_cast<unsigned long long>(sum));
+            continue;
+        }
+        const PinnedSnapshot &want = kPinned[i];
+        EXPECT_STREQ(pc.name, want.name);
+        EXPECT_EQ(bytes.size(), want.bytes) << pc.name;
+        EXPECT_EQ(sum, want.checksum)
+            << pc.name << ": got {\"" << pc.name << "\", "
+            << bytes.size() << "u, 0x" << std::hex << sum << "ull}";
     }
 }
 
