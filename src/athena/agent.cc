@@ -162,34 +162,19 @@ AthenaAgent::reset()
 }
 
 void
-AthenaAgent::saveState(SnapshotWriter &w) const
+AthenaAgent::serialize(SnapshotIo &io)
 {
-    qvstore.saveState(w);
-    w.u64(rng.rawState());
-    w.boolean(havePrev);
-    writeEpochStats(w, prevStats);
-    w.u32(prevState);
-    w.u32(prevAction);
-    w.f64(lastRewardValue);
-    for (std::uint64_t c : actionCounts)
-        w.u64(c);
-}
-
-void
-AthenaAgent::restoreState(SnapshotReader &r)
-{
-    qvstore.restoreState(r);
-    rng.setRawState(r.u64());
-    havePrev = r.boolean();
-    readEpochStats(r, prevStats);
-    prevState = r.u32();
+    qvstore.serialize(io);
+    rng.serialize(io);
+    io.boolean(havePrev);
+    prevStats.serialize(io);
+    io.u32(prevState);
     // The next epoch's SARSA update indexes the Q-table with it.
-    prevAction = static_cast<unsigned>(
-        r.bounded(r.u32(), qvstore.params().actions,
-                  "Athena previous action"));
-    lastRewardValue = r.f64();
+    io.bounded(prevAction, qvstore.params().actions,
+               "Athena previous action");
+    io.f64(lastRewardValue);
     for (std::uint64_t &c : actionCounts)
-        c = r.u64();
+        io.u64(c);
 }
 
 } // namespace athena

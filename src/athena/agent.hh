@@ -80,10 +80,9 @@ class AthenaAgent : public CoordinationPolicy
 
     void reset() override;
 
-    /** Snapshot contract: the QVStore, RNG, previous-epoch SARSA
+    /** Snapshot walk: the QVStore, RNG, previous-epoch SARSA
      *  context, and the action histogram. */
-    void saveState(SnapshotWriter &w) const override;
-    void restoreState(SnapshotReader &r) override;
+    void serialize(SnapshotIo &io) override;
 
     /**
      * Table 4 accounting: QVStore (2 KB) + two 4096-bit Bloom

@@ -58,21 +58,11 @@ BloomFilter::clear()
 }
 
 void
-BloomFilter::saveState(SnapshotWriter &w) const
+BloomFilter::serialize(SnapshotIo &io)
 {
-    w.u64(words.size());
-    w.u64(inserted);
-    for (std::uint64_t word : words)
-        w.u64(word);
-}
-
-void
-BloomFilter::restoreState(SnapshotReader &r)
-{
-    r.expectU64(words.size(), "bloom filter word count");
-    inserted = r.u64();
-    for (std::uint64_t &word : words)
-        word = r.u64();
+    io.expectU64(words.size(), "bloom filter word count");
+    io.u64(inserted);
+    io.u64Array(words.data(), words.size());
 }
 
 double

@@ -18,8 +18,7 @@
 namespace athena
 {
 
-class SnapshotReader;
-class SnapshotWriter;
+class SnapshotIo;
 
 class BloomFilter
 {
@@ -53,9 +52,8 @@ class BloomFilter
      */
     double falsePositiveRate(std::uint64_t n) const;
 
-    /** Snapshot contract: bit words + insertion count. */
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
+    /** Snapshot walk: word-count guard, insertion count, words. */
+    void serialize(SnapshotIo &io);
 
   private:
     /** bit index for hash h of key (mask when bits is pow2). */

@@ -224,39 +224,21 @@ QVStore::reset()
 }
 
 void
-QVStore::saveState(SnapshotWriter &w) const
+QVStore::serialize(SnapshotIo &io)
 {
-    w.u32(cfg.planes);
-    w.u32(cfg.rows);
-    w.u32(cfg.actions);
-    w.boolean(cfg.quantized);
-    w.u64(roundState);
+    io.expectU32(cfg.planes, "QVStore plane count");
+    io.expectU32(cfg.rows, "QVStore row count");
+    io.expectU32(cfg.actions, "QVStore action count");
+    bool quantized = cfg.quantized;
+    io.boolean(quantized);
+    io.check(quantized == cfg.quantized,
+             "QVStore storage mode mismatch (wrong geometry)");
+    io.u64(roundState);
     if (cfg.quantized) {
-        w.bytes(fixedEntries.data(), fixedEntries.size());
-    } else {
-        for (double v : floatEntries)
-            w.f64(v);
-    }
-}
-
-void
-QVStore::restoreState(SnapshotReader &r)
-{
-    r.expectU32(cfg.planes, "QVStore plane count");
-    r.expectU32(cfg.rows, "QVStore row count");
-    r.expectU32(cfg.actions, "QVStore action count");
-    bool quantized = r.boolean();
-    if (quantized != cfg.quantized) {
-        throw SnapshotError(r.currentSection(),
-                            "QVStore storage mode mismatch (wrong "
-                            "geometry)");
-    }
-    roundState = r.u64();
-    if (cfg.quantized) {
-        r.bytes(fixedEntries.data(), fixedEntries.size());
+        io.bytes(fixedEntries.data(), fixedEntries.size());
     } else {
         for (double &v : floatEntries)
-            v = r.f64();
+            io.f64(v);
     }
 }
 

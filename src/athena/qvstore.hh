@@ -28,8 +28,7 @@
 namespace athena
 {
 
-class SnapshotReader;
-class SnapshotWriter;
+class SnapshotIo;
 
 /** QVStore geometry and learning configuration. */
 struct QVStoreParams
@@ -106,13 +105,12 @@ class QVStore
     void reset();
 
     /**
-     * Snapshot contract: geometry guard (planes/rows/actions/
-     * storage mode), entry planes, and the stochastic-rounding
-     * state. The row memo is a pure function of geometry and is
-     * rebuilt lazily, not serialized.
+     * Snapshot walk: geometry guard (planes/rows/actions/storage
+     * mode), the stochastic-rounding state, and the entry planes.
+     * The row memo is a pure function of geometry and is rebuilt
+     * lazily, not serialized.
      */
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
+    void serialize(SnapshotIo &io);
 
     const QVStoreParams &params() const { return cfg; }
 

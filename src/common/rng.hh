@@ -25,8 +25,8 @@ class Rng
 {
   public:
     /** Construct from a non-zero seed (0 is remapped internally). */
-    explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull)
-        : state(seed ? seed : 0x9e3779b97f4a7c15ull)
+    explicit Rng(std::uint64_t seed = kDefaultSeed)
+        : state(seed ? seed : kDefaultSeed)
     {}
 
     /** Next raw 64-bit value. */
@@ -96,19 +96,24 @@ class Rng
         return (next() >> 11) < threshold;
     }
 
-    /** Current internal state (for tests of determinism and for
-     *  snapshot serialization). */
-    std::uint64_t rawState() const { return state; }
-
-    /** Restore a previously observed rawState() (snapshot resume).
-     *  xorshift state is never 0; 0 is remapped like the ctor's. */
+    /**
+     * Snapshot walk (see SnapshotIo): the raw state as one u64. A
+     * restored 0 is remapped like the constructor's (xorshift state
+     * is never 0). (A template so this header need not include the
+     * snapshot one.)
+     */
+    template <class Io>
     void
-    setRawState(std::uint64_t s)
+    serialize(Io &io)
     {
-        state = s ? s : 0x9e3779b97f4a7c15ull;
+        io.u64(state);
+        if (state == 0)
+            state = kDefaultSeed;
     }
 
   private:
+    static constexpr std::uint64_t kDefaultSeed = 0x9e3779b97f4a7c15ull;
+
     std::uint64_t state;
 };
 

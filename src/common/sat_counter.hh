@@ -54,6 +54,19 @@ class SatCounter
     bool taken() const { return value >= kWeaklyTaken; }
     std::uint16_t raw() const { return value; }
 
+    /**
+     * Snapshot walk (see SnapshotIo): the raw value as one u16. A
+     * restored value above kMax throws SnapshotError naming the
+     * open section. (A template so this header need not include
+     * the snapshot one.)
+     */
+    template <class Io>
+    void
+    serialize(Io &io)
+    {
+        io.bounded(value, kMax + 1u, "saturating counter");
+    }
+
   private:
     std::uint16_t value;
 };
@@ -74,18 +87,17 @@ class SignedSatCounter
     explicit SignedSatCounter(std::int32_t init = 0) : value(init) {}
 
     /**
-     * Restore a weight that a snapshot stored as raw() (one i32).
-     * A value outside [kMin, kMax] throws SnapshotError naming the
-     * open section: a weight sum over such values overflows int.
-     * (A template so this header need not include the snapshot
-     * reader.)
+     * Snapshot walk (see SnapshotIo): the raw weight as one i32. A
+     * restored value outside [kMin, kMax] throws SnapshotError
+     * naming the open section: a weight sum over such values
+     * overflows int. (A template so this header need not include
+     * the snapshot one.)
      */
-    template <class Reader>
-    static SignedSatCounter
-    restore(Reader &r)
+    template <class Io>
+    void
+    serialize(Io &io)
     {
-        return SignedSatCounter(static_cast<std::int32_t>(
-            r.inRange(r.i32(), kMin, kMax, "perceptron weight")));
+        io.inRange(value, kMin, kMax, "perceptron weight");
     }
 
     /** Add delta with saturation. */

@@ -65,23 +65,12 @@ HpacPolicy::reset()
 }
 
 void
-HpacPolicy::saveState(SnapshotWriter &w) const
+HpacPolicy::serialize(SnapshotIo &io)
 {
-    for (unsigned l : levels)
-        w.u32(l);
-    w.boolean(ocpOn);
-    w.u32(ocpOffEpochs);
-}
-
-void
-HpacPolicy::restoreState(SnapshotReader &r)
-{
-    for (unsigned &l : levels) {
-        l = static_cast<unsigned>(
-            r.inRange(r.u32(), kMinLevel, kMaxLevel, "HPAC level"));
-    }
-    ocpOn = r.boolean();
-    ocpOffEpochs = r.u32();
+    for (unsigned &l : levels)
+        io.inRange(l, kMinLevel, kMaxLevel, "HPAC level");
+    io.boolean(ocpOn);
+    io.u32(ocpOffEpochs);
 }
 
 } // namespace athena

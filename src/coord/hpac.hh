@@ -52,8 +52,7 @@ class HpacPolicy : public CoordinationPolicy
 
     void reset() override;
 
-    void saveState(SnapshotWriter &w) const override;
-    void restoreState(SnapshotReader &r) override;
+    void serialize(SnapshotIo &io) override;
 
     std::size_t
     storageBits() const override

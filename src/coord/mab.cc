@@ -89,32 +89,17 @@ MabPolicy::reset()
 }
 
 void
-MabPolicy::saveState(SnapshotWriter &w) const
+MabPolicy::serialize(SnapshotIo &io)
 {
-    w.u64(arms.size());
-    for (const Arm &arm : arms) {
-        w.f64(arm.count);
-        w.f64(arm.sum);
-    }
-    w.u32(current);
-    w.f64(rewardScale);
-}
-
-void
-MabPolicy::restoreState(SnapshotReader &r)
-{
-    r.expectU64(arms.size(), "MAB arm count");
+    io.expectU64(arms.size(), "MAB arm count");
     for (Arm &arm : arms) {
-        arm.count = r.f64();
-        arm.sum = r.f64();
+        io.f64(arm.count);
+        io.f64(arm.sum);
     }
-    current = r.u32();
-    if (current >= arms.size()) {
-        throw SnapshotError(r.currentSection(),
-                            "MAB current arm out of range "
-                            "(corrupted snapshot)");
-    }
-    rewardScale = r.f64();
+    io.u32(current);
+    io.check(current < arms.size(),
+             "MAB current arm out of range (corrupted snapshot)");
+    io.f64(rewardScale);
 }
 
 } // namespace athena

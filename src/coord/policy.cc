@@ -1,8 +1,7 @@
 /**
  * @file
- * Shared snapshot serializers for the coordination-layer value
- * types (kind-name helpers live in simple.cc alongside the static
- * policy factories).
+ * Snapshot walks of the coordination-layer value types (kind-name
+ * helpers live in simple.cc alongside the static policy factories).
  */
 
 #include "coord/policy.hh"
@@ -13,69 +12,36 @@ namespace athena
 {
 
 void
-writeEpochStats(SnapshotWriter &w, const EpochStats &s)
+EpochStats::serialize(SnapshotIo &io)
 {
-    w.u64(s.instructions);
-    w.u64(s.cycles);
-    w.u64(s.loads);
-    w.u64(s.branches);
-    w.u64(s.branchMispredicts);
-    w.u64(s.llcMisses);
-    w.u64(s.llcMissLatency);
-    w.u64(s.llcDemandAccesses);
-    for (std::uint64_t v : s.pfIssued)
-        w.u64(v);
-    for (std::uint64_t v : s.pfUsed)
-        w.u64(v);
-    w.u64(s.ocpPredictions);
-    w.u64(s.ocpCorrect);
-    w.u64(s.dramDemand);
-    w.u64(s.dramPrefetch);
-    w.u64(s.dramOcp);
-    w.f64(s.bandwidthUsage);
-    w.u64(s.pollutionMisses);
+    io.u64(instructions);
+    io.u64(cycles);
+    io.u64(loads);
+    io.u64(branches);
+    io.u64(branchMispredicts);
+    io.u64(llcMisses);
+    io.u64(llcMissLatency);
+    io.u64(llcDemandAccesses);
+    for (std::uint64_t &v : pfIssued)
+        io.u64(v);
+    for (std::uint64_t &v : pfUsed)
+        io.u64(v);
+    io.u64(ocpPredictions);
+    io.u64(ocpCorrect);
+    io.u64(dramDemand);
+    io.u64(dramPrefetch);
+    io.u64(dramOcp);
+    io.f64(bandwidthUsage);
+    io.u64(pollutionMisses);
 }
 
 void
-readEpochStats(SnapshotReader &r, EpochStats &s)
+CoordDecision::serialize(SnapshotIo &io)
 {
-    s.instructions = r.u64();
-    s.cycles = r.u64();
-    s.loads = r.u64();
-    s.branches = r.u64();
-    s.branchMispredicts = r.u64();
-    s.llcMisses = r.u64();
-    s.llcMissLatency = r.u64();
-    s.llcDemandAccesses = r.u64();
-    for (std::uint64_t &v : s.pfIssued)
-        v = r.u64();
-    for (std::uint64_t &v : s.pfUsed)
-        v = r.u64();
-    s.ocpPredictions = r.u64();
-    s.ocpCorrect = r.u64();
-    s.dramDemand = r.u64();
-    s.dramPrefetch = r.u64();
-    s.dramOcp = r.u64();
-    s.bandwidthUsage = r.f64();
-    s.pollutionMisses = r.u64();
-}
-
-void
-writeCoordDecision(SnapshotWriter &w, const CoordDecision &d)
-{
-    w.u32(d.pfEnableMask);
-    w.boolean(d.ocpEnable);
-    for (double v : d.degreeScale)
-        w.f64(v);
-}
-
-void
-readCoordDecision(SnapshotReader &r, CoordDecision &d)
-{
-    d.pfEnableMask = r.u32();
-    d.ocpEnable = r.boolean();
-    for (double &v : d.degreeScale)
-        v = r.f64();
+    io.u32(pfEnableMask);
+    io.boolean(ocpEnable);
+    for (double &v : degreeScale)
+        io.f64(v);
 }
 
 } // namespace athena

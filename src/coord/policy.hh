@@ -25,8 +25,7 @@
 namespace athena
 {
 
-class SnapshotReader;
-class SnapshotWriter;
+class SnapshotIo;
 
 /** Maximum prefetchers per core across the evaluated designs. */
 constexpr unsigned kMaxPrefetchers = 2;
@@ -99,6 +98,13 @@ struct EpochStats
                            : static_cast<double>(instructions) /
                                  static_cast<double>(cycles);
     }
+
+    /**
+     * Snapshot walk (fixed field order). Shared by the simulator's
+     * epoch-window section and policies that keep a previous-epoch
+     * copy (the Athena agent).
+     */
+    void serialize(SnapshotIo &io);
 };
 
 /** The knob settings applied for the next epoch. */
@@ -119,6 +125,9 @@ struct CoordDecision
     {
         return (pfEnableMask >> slot) & 1u;
     }
+
+    /** Snapshot walk (fixed field order). */
+    void serialize(SnapshotIo &io);
 };
 
 /**
@@ -174,13 +183,12 @@ class CoordinationPolicy
     virtual void reset() = 0;
 
     /**
-     * Snapshot contract: serialize learned state and decision
-     * history so a restored policy decides bit-identically. No-op
-     * defaults cover the stateless fixed policies (naive, all-off,
-     * pf-only, ocp-only); learning policies override both.
+     * Snapshot walk: learned state and decision history, so a
+     * restored policy decides bit-identically. The no-op default
+     * covers the stateless fixed policies (naive, all-off, pf-only,
+     * ocp-only); learning policies override it.
      */
-    virtual void saveState(SnapshotWriter &) const {}
-    virtual void restoreState(SnapshotReader &) {}
+    virtual void serialize(SnapshotIo &) {}
 
     /** Metadata budget in bits (Table 8 accounting). */
     virtual std::size_t storageBits() const = 0;
@@ -212,18 +220,6 @@ enum class PolicyKind : std::uint8_t
 };
 
 const char *policyKindName(PolicyKind kind);
-
-/**
- * Serialize / restore an EpochStats block (fixed field order).
- * Shared by the simulator's epoch-window section and policies that
- * keep a previous-epoch copy (the Athena agent).
- */
-void writeEpochStats(SnapshotWriter &w, const EpochStats &s);
-void readEpochStats(SnapshotReader &r, EpochStats &s);
-
-/** Serialize / restore a CoordDecision (fixed field order). */
-void writeCoordDecision(SnapshotWriter &w, const CoordDecision &d);
-void readCoordDecision(SnapshotReader &r, CoordDecision &d);
 
 } // namespace athena
 

@@ -82,23 +82,13 @@ TlpPolicy::reset()
 }
 
 void
-TlpPolicy::saveState(SnapshotWriter &w) const
-{
-    for (const auto &table : weights) {
-        for (const SignedSatCounter<6> &c : table)
-            w.i32(c.raw());
-    }
-    w.u64(lastPcsHash);
-}
-
-void
-TlpPolicy::restoreState(SnapshotReader &r)
+TlpPolicy::serialize(SnapshotIo &io)
 {
     for (auto &table : weights) {
         for (SignedSatCounter<6> &c : table)
-            c = SignedSatCounter<6>::restore(r);
+            c.serialize(io);
     }
-    lastPcsHash = r.u64();
+    io.u64(lastPcsHash);
 }
 
 } // namespace athena

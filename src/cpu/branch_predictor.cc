@@ -36,23 +36,13 @@ BranchPredictor::reset()
 }
 
 void
-BranchPredictor::saveState(SnapshotWriter &w) const
+BranchPredictor::serialize(SnapshotIo &io)
 {
-    w.u64(table.size());
-    w.u64(history);
-    w.u64(statLookups);
-    w.u64(statMispredicts);
-    w.bytes(table.data(), table.size());
-}
-
-void
-BranchPredictor::restoreState(SnapshotReader &r)
-{
-    r.expectU64(table.size(), "branch predictor PHT size");
-    history = r.u64();
-    statLookups = r.u64();
-    statMispredicts = r.u64();
-    r.bytes(table.data(), table.size());
+    io.expectU64(table.size(), "branch predictor PHT size");
+    io.u64(history);
+    io.u64(statLookups);
+    io.u64(statMispredicts);
+    io.bytes(table.data(), table.size());
 }
 
 } // namespace athena

@@ -26,8 +26,7 @@
 namespace athena
 {
 
-class SnapshotReader;
-class SnapshotWriter;
+class SnapshotIo;
 
 class BranchPredictor
 {
@@ -65,9 +64,8 @@ class BranchPredictor
 
     void reset();
 
-    /** Snapshot contract: PHT, global history and stats. */
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
+    /** Snapshot walk: PHT size guard, global history, stats, PHT. */
+    void serialize(SnapshotIo &io);
 
     std::uint64_t statLookups = 0;
     std::uint64_t statMispredicts = 0;

@@ -324,87 +324,52 @@ CoreModel::reset()
 }
 
 void
-CoreModel::saveState(SnapshotWriter &w) const
+CoreCounters::serialize(SnapshotIo &io)
 {
-    w.u32(cfg.robSize);
-    w.u32(cfg.l1Mshrs);
-    w.u64(dispatchCycle);
-    w.u32(dispatchSlots);
-    w.u32(robHead);
-    w.u32(robCount);
-    w.u64(lastRetireCycle);
-    w.u32(retireSlots);
-    w.u32(mshrCount);
-    w.u64(prevLoadComplete);
-    w.u64(frontier);
-    w.u64(stats.instructions);
-    w.u64(stats.loads);
-    w.u64(stats.stores);
-    w.u64(stats.branches);
-    w.u64(stats.branchMispredicts);
-    for (Cycle c : arena)
-        w.u64(c);
-    w.u32(batchPos);
-    w.u32(batchLen);
-    w.boolean(streamDone);
+    io.u64(instructions);
+    io.u64(loads);
+    io.u64(stores);
+    io.u64(branches);
+    io.u64(branchMispredicts);
+}
+
+void
+CoreModel::serialize(SnapshotIo &io)
+{
+    io.expectU32(cfg.robSize, "core ROB size");
+    io.expectU32(cfg.l1Mshrs, "core MSHR count");
+    io.u64(dispatchCycle);
+    io.u32(dispatchSlots);
+    // The ROB ring and MSHR list index the arena unchecked.
+    io.bounded(robHead, cfg.robSize, "core ROB head");
+    io.bounded(robCount, cfg.robSize + 1ull, "core ROB count");
+    io.u64(lastRetireCycle);
+    io.u32(retireSlots);
+    io.bounded(mshrCount, cfg.l1Mshrs + 1ull, "core MSHR count");
+    io.u64(prevLoadComplete);
+    io.u64(frontier);
+    stats.serialize(io);
+    io.u64Array(arena.data(), arena.size());
+    io.u32(batchPos);
+    io.u32(batchLen);
+    io.check(batchLen <= kBatchCapacity && batchPos <= batchLen,
+             "core batch cursors out of range (corrupted snapshot)");
+    io.boolean(streamDone);
     // Buffered records that have been pulled from the generator but
     // not yet executed: the generator's cursor is already past them,
     // so they must travel with the core.
     for (unsigned i = batchPos; i < batchLen; ++i) {
-        const TraceRecord &rec = batchBuf[i];
-        w.u64(rec.pc);
-        w.u64(rec.addr);
-        w.u8(static_cast<std::uint8_t>(rec.kind));
-        w.boolean(rec.taken);
-        w.boolean(rec.dependsOnPrevLoad);
-        w.boolean(rec.criticalConsumer);
-    }
-    branchPredictor.saveState(w);
-}
-
-void
-CoreModel::restoreState(SnapshotReader &r)
-{
-    r.expectU32(cfg.robSize, "core ROB size");
-    r.expectU32(cfg.l1Mshrs, "core MSHR count");
-    dispatchCycle = r.u64();
-    dispatchSlots = r.u32();
-    // The ROB ring and MSHR list index the arena unchecked.
-    robHead = static_cast<unsigned>(
-        r.bounded(r.u32(), cfg.robSize, "core ROB head"));
-    robCount = static_cast<unsigned>(
-        r.bounded(r.u32(), cfg.robSize + 1ull, "core ROB count"));
-    lastRetireCycle = r.u64();
-    retireSlots = r.u32();
-    mshrCount = static_cast<unsigned>(
-        r.bounded(r.u32(), cfg.l1Mshrs + 1ull, "core MSHR count"));
-    prevLoadComplete = r.u64();
-    frontier = r.u64();
-    stats.instructions = r.u64();
-    stats.loads = r.u64();
-    stats.stores = r.u64();
-    stats.branches = r.u64();
-    stats.branchMispredicts = r.u64();
-    for (Cycle &c : arena)
-        c = r.u64();
-    batchPos = r.u32();
-    batchLen = r.u32();
-    if (batchLen > kBatchCapacity || batchPos > batchLen) {
-        throw SnapshotError(r.currentSection(),
-                            "core batch cursors out of range "
-                            "(corrupted snapshot)");
-    }
-    streamDone = r.boolean();
-    for (unsigned i = batchPos; i < batchLen; ++i) {
         TraceRecord &rec = batchBuf[i];
-        rec.pc = r.u64();
-        rec.addr = r.u64();
-        rec.kind = static_cast<InstrKind>(r.u8());
-        rec.taken = r.boolean();
-        rec.dependsOnPrevLoad = r.boolean();
-        rec.criticalConsumer = r.boolean();
+        io.u64(rec.pc);
+        io.u64(rec.addr);
+        auto kind = static_cast<std::uint8_t>(rec.kind);
+        io.u8(kind);
+        rec.kind = static_cast<InstrKind>(kind);
+        io.boolean(rec.taken);
+        io.boolean(rec.dependsOnPrevLoad);
+        io.boolean(rec.criticalConsumer);
     }
-    branchPredictor.restoreState(r);
+    branchPredictor.serialize(io);
 }
 
 } // namespace athena

@@ -48,8 +48,7 @@
 namespace athena
 {
 
-class SnapshotReader;
-class SnapshotWriter;
+class SnapshotIo;
 
 /**
  * Interface the core uses to access the memory hierarchy. The
@@ -99,6 +98,9 @@ struct CoreCounters
     std::uint64_t stores = 0;
     std::uint64_t branches = 0;
     std::uint64_t branchMispredicts = 0;
+
+    /** Snapshot walk: the five counters as u64, in member order. */
+    void serialize(SnapshotIo &io);
 };
 
 /**
@@ -180,14 +182,13 @@ class CoreModel
     void reset();
 
     /**
-     * Snapshot contract: geometry guard (robSize, l1Mshrs), the
+     * Snapshot walk: geometry guard (robSize, l1Mshrs), the
      * pipeline cursors, the ROB/MSHR arena, the buffered (not yet
      * executed) trace records, the end-of-stream latch, counters,
      * and the nested branch predictor. The workload generator's
      * own cursor state is serialized separately by the simulator.
      */
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
+    void serialize(SnapshotIo &io);
 
   private:
     /** Workload records pulled per nextBatch() refill (~8 KB). */

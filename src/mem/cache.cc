@@ -171,54 +171,47 @@ Cache::reset()
 }
 
 void
-Cache::saveState(SnapshotWriter &w) const
+Cache::serialize(SnapshotIo &io)
 {
-    w.u32(sets);
-    w.u32(cfg.ways);
-    w.u64(lruClock);
-    w.u64(statHits);
-    w.u64(statMisses);
-    w.u64(statPrefetchFills);
-    w.u64(statUnusedPrefetchEvictions);
-    w.u64Array(tagv.data(), tagv.size());
-    w.u64Array(lru.data(), lru.size());
-    w.bytes(mruWay.data(), mruWay.size());
-    for (const Line &line : lines) {
-        w.boolean(line.prefetched);
-        w.boolean(line.pfFromDram);
-        w.u8(line.pfSlot);
-        w.u64(line.pfMeta);
-        w.u64(line.readyAt);
-    }
-}
-
-void
-Cache::restoreState(SnapshotReader &r)
-{
-    r.expectU32(sets, "cache set count");
-    r.expectU32(cfg.ways, "cache way count");
-    lruClock = r.u64();
-    statHits = r.u64();
-    statMisses = r.u64();
-    statPrefetchFills = r.u64();
-    statUnusedPrefetchEvictions = r.u64();
-    r.u64Array(tagv.data(), tagv.size());
-    r.u64Array(lru.data(), lru.size());
-    r.bytes(mruWay.data(), mruWay.size());
+    io.expectU32(sets, "cache set count");
+    io.expectU32(cfg.ways, "cache way count");
+    io.u64(lruClock);
+    io.u64(statHits);
+    io.u64(statMisses);
+    io.u64(statPrefetchFills);
+    io.u64(statUnusedPrefetchEvictions);
+    io.u64Array(tagv.data(), tagv.size());
+    io.u64Array(lru.data(), lru.size());
+    io.bytes(mruWay.data(), mruWay.size());
     // The hint indexes the way arrays unchecked on every lookup.
     for (std::uint8_t m : mruWay)
-        r.bounded(m, cfg.ways, "cache MRU way hint");
-    // Per-line metadata as saveState writes it: prefetched,
-    // pfFromDram, pfSlot (one byte each), pfMeta, readyAt (u64).
+        io.check(m < cfg.ways, "cache MRU way hint out of range "
+                               "(corrupt snapshot)");
+    // Per-line metadata as one block of fixed-layout records:
+    // prefetched, pfFromDram, pfSlot (one byte each), pfMeta,
+    // readyAt (u64).
     constexpr std::size_t kLineRecordBytes = 3 + 8 + 8;
-    const std::uint8_t *p = r.block(lines.size() * kLineRecordBytes);
-    for (Line &line : lines) {
-        line.prefetched = p[0] != 0;
-        line.pfFromDram = p[1] != 0;
-        line.pfSlot = p[2];
-        line.pfMeta = loadLe64(p + 3);
-        line.readyAt = loadLe64(p + 11);
-        p += kLineRecordBytes;
+    const std::size_t n = lines.size() * kLineRecordBytes;
+    if (io.loading()) {
+        const std::uint8_t *p = io.loadBlock(n);
+        for (Line &line : lines) {
+            line.prefetched = p[0] != 0;
+            line.pfFromDram = p[1] != 0;
+            line.pfSlot = p[2];
+            line.pfMeta = loadLe64(p + 3);
+            line.readyAt = loadLe64(p + 11);
+            p += kLineRecordBytes;
+        }
+    } else {
+        std::uint8_t *p = io.saveBlock(n);
+        for (const Line &line : lines) {
+            p[0] = line.prefetched ? 1 : 0;
+            p[1] = line.pfFromDram ? 1 : 0;
+            p[2] = line.pfSlot;
+            storeLe64(p + 3, line.pfMeta);
+            storeLe64(p + 11, line.readyAt);
+            p += kLineRecordBytes;
+        }
     }
 }
 

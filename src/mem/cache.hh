@@ -25,8 +25,7 @@
 namespace athena
 {
 
-class SnapshotReader;
-class SnapshotWriter;
+class SnapshotIo;
 
 /** Static configuration of one cache level. */
 struct CacheParams
@@ -186,12 +185,11 @@ class Cache
     void reset();
 
     /**
-     * Snapshot contract: geometry guard (sets, ways) followed by
-     * the full array state — tags, LRU stamps, MRU hints, per-line
+     * Snapshot walk: geometry guard (sets, ways) followed by the
+     * full array state — tags, LRU stamps, MRU hints, per-line
      * prefetch attribution and readyAt — plus the stat counters.
      */
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
+    void serialize(SnapshotIo &io);
 
     const CacheParams &params() const { return cfg; }
     unsigned numSets() const { return sets; }

@@ -17,32 +17,16 @@
 namespace athena
 {
 
-namespace
-{
-
 void
-writeDramCounters(SnapshotWriter &w, const DramCounters &c)
+DramCounters::serialize(SnapshotIo &io)
 {
-    w.u64(c.demandRequests);
-    w.u64(c.prefetchRequests);
-    w.u64(c.ocpRequests);
-    w.u64(c.rowHits);
-    w.u64(c.rowMisses);
-    w.u64(c.busBusyCycles);
+    io.u64(demandRequests);
+    io.u64(prefetchRequests);
+    io.u64(ocpRequests);
+    io.u64(rowHits);
+    io.u64(rowMisses);
+    io.u64(busBusyCycles);
 }
-
-void
-readDramCounters(SnapshotReader &r, DramCounters &c)
-{
-    c.demandRequests = r.u64();
-    c.prefetchRequests = r.u64();
-    c.ocpRequests = r.u64();
-    c.rowHits = r.u64();
-    c.rowMisses = r.u64();
-    c.busBusyCycles = r.u64();
-}
-
-} // namespace
 
 Dram::Dram(const DramParams &cfg)
 {
@@ -145,27 +129,15 @@ Dram::reset()
 }
 
 void
-Dram::saveState(SnapshotWriter &w) const
+Dram::serialize(SnapshotIo &io)
 {
-    w.u32(bankCount);
-    w.u64(busNextFree);
+    io.expectU32(bankCount, "DRAM bank count");
+    io.u64(busNextFree);
     for (unsigned b = 0; b < bankCount; ++b) {
-        w.u64(bankState[b].busyUntil);
-        w.u64(bankState[b].openRow);
+        io.u64(bankState[b].busyUntil);
+        io.u64(bankState[b].openRow);
     }
-    writeDramCounters(w, total);
-}
-
-void
-Dram::restoreState(SnapshotReader &r)
-{
-    r.expectU32(bankCount, "DRAM bank count");
-    busNextFree = r.u64();
-    for (unsigned b = 0; b < bankCount; ++b) {
-        bankState[b].busyUntil = r.u64();
-        bankState[b].openRow = r.u64();
-    }
-    readDramCounters(r, total);
+    total.serialize(io);
 }
 
 ChanneledDram::ChanneledDram(const DramParams &params,

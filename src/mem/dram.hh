@@ -31,8 +31,7 @@
 namespace athena
 {
 
-class SnapshotReader;
-class SnapshotWriter;
+class SnapshotIo;
 
 /** DRAM configuration. */
 struct DramParams
@@ -84,6 +83,9 @@ struct DramCounters
     {
         return demandRequests + prefetchRequests + ocpRequests;
     }
+
+    /** Snapshot walk: the six counters as u64, in member order. */
+    void serialize(SnapshotIo &io);
 };
 
 /**
@@ -132,11 +134,10 @@ class Dram
     void reset();
 
     /**
-     * Snapshot contract: bus cursor, per-bank open-row/busy state
-     * and the lifetime counters.
+     * Snapshot walk: bus cursor, per-bank open-row/busy state and
+     * the lifetime counters.
      */
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
+    void serialize(SnapshotIo &io);
 
   private:
     struct Bank

@@ -93,33 +93,18 @@ HmpPredictor::reset()
 }
 
 void
-HmpPredictor::saveState(SnapshotWriter &w) const
+HmpPredictor::serialize(SnapshotIo &io)
 {
-    w.bytes(localHistory.data(), localHistory.size());
-    for (const SatCounter<2> &c : localPht)
-        w.u16(c.raw());
-    for (const SatCounter<2> &c : gsharePht)
-        w.u16(c.raw());
-    for (const auto &t : gskewPht) {
-        for (const SatCounter<2> &c : t)
-            w.u16(c.raw());
-    }
-    w.u64(globalHistory);
-}
-
-void
-HmpPredictor::restoreState(SnapshotReader &r)
-{
-    r.bytes(localHistory.data(), localHistory.size());
+    io.bytes(localHistory.data(), localHistory.size());
     for (SatCounter<2> &c : localPht)
-        c = SatCounter<2>(r.u16());
+        c.serialize(io);
     for (SatCounter<2> &c : gsharePht)
-        c = SatCounter<2>(r.u16());
+        c.serialize(io);
     for (auto &t : gskewPht) {
         for (SatCounter<2> &c : t)
-            c = SatCounter<2>(r.u16());
+            c.serialize(io);
     }
-    globalHistory = r.u64();
+    io.u64(globalHistory);
 }
 
 } // namespace athena

@@ -25,8 +25,7 @@
 namespace athena
 {
 
-class SnapshotReader;
-class SnapshotWriter;
+class SnapshotIo;
 
 /** Known OCP kinds, for factory construction and tag dispatch. */
 enum class OcpKind : std::uint8_t
@@ -79,13 +78,12 @@ class OffChipPredictor
     virtual void reset() = 0;
 
     /**
-     * Snapshot contract: serialize learned tables and history so a
-     * restored predictor continues bit-identically. No-op defaults
-     * for stateless external subclasses; every built-in kind
-     * overrides both.
+     * Snapshot walk: learned tables and history, so a restored
+     * predictor continues bit-identically. The no-op default covers
+     * stateless external subclasses; every built-in kind overrides
+     * it.
      */
-    virtual void saveState(SnapshotWriter &) const {}
-    virtual void restoreState(SnapshotReader &) {}
+    virtual void serialize(SnapshotIo &) {}
 
     /** Metadata budget in bits (Table 8 accounting). */
     virtual std::size_t storageBits() const = 0;

@@ -107,24 +107,15 @@ PopetPredictor::reset()
 }
 
 void
-PopetPredictor::saveState(SnapshotWriter &w) const
-{
-    for (const auto &table : weights) {
-        for (const SignedSatCounter<6> &c : table)
-            w.i32(c.raw());
-    }
-    w.u64(lastPcsHash);
-}
-
-void
-PopetPredictor::restoreState(SnapshotReader &r)
+PopetPredictor::serialize(SnapshotIo &io)
 {
     for (auto &table : weights) {
         for (SignedSatCounter<6> &c : table)
-            c = SignedSatCounter<6>::restore(r);
+            c.serialize(io);
     }
-    lastPcsHash = r.u64();
-    memoValid = false;
+    io.u64(lastPcsHash);
+    if (io.loading())
+        memoValid = false;
 }
 
 } // namespace athena

@@ -40,8 +40,7 @@ class PopetPredictor final : public OffChipPredictor
     /** Snapshot contract: weight tables + PC-history hash. The
      *  one-deep memo is cleared on restore: a train() without its
      *  predict() recomputes, bit-identically. */
-    void saveState(SnapshotWriter &w) const override;
-    void restoreState(SnapshotReader &r) override;
+    void serialize(SnapshotIo &io) override;
 
     std::size_t
     storageBits() const override

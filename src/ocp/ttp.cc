@@ -73,22 +73,12 @@ TtpPredictor::reset()
 }
 
 void
-TtpPredictor::saveState(SnapshotWriter &w) const
+TtpPredictor::serialize(SnapshotIo &io)
 {
-    w.u64(entries.size());
-    for (const Entry &e : entries) {
-        w.u16(e.tag);
-        w.boolean(e.valid);
-    }
-}
-
-void
-TtpPredictor::restoreState(SnapshotReader &r)
-{
-    r.expectU64(entries.size(), "TTP shadow tag count");
+    io.expectU64(entries.size(), "TTP shadow tag count");
     for (Entry &e : entries) {
-        e.tag = r.u16();
-        e.valid = r.boolean();
+        io.u16(e.tag);
+        io.boolean(e.valid);
     }
 }
 

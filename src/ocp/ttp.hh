@@ -40,8 +40,7 @@ class TtpPredictor final : public OffChipPredictor
 
     void reset() override;
 
-    void saveState(SnapshotWriter &w) const override;
-    void restoreState(SnapshotReader &r) override;
+    void serialize(SnapshotIo &io) override;
 
     std::size_t
     storageBits() const override

@@ -112,54 +112,29 @@ BertiPrefetcher::reset()
 }
 
 void
-BertiPrefetcher::saveState(SnapshotWriter &w) const
+BertiPrefetcher::serialize(SnapshotIo &io)
 {
-    Prefetcher::saveState(w);
-    for (const IpEntry &e : table) {
-        w.u16(e.tag);
-        w.boolean(e.valid);
-        for (const HistEntry &h : e.hist) {
-            w.u64(h.line);
-            w.u64(h.cycle);
-            w.boolean(h.valid);
-        }
-        w.u32(e.histHead);
-        for (const DeltaScore &s : e.scores) {
-            w.i32(s.delta);
-            w.u32(s.score);
-        }
-        w.u32(e.accessesThisRound);
-        for (std::int32_t d : e.active)
-            w.i32(d);
-        w.u32(e.activeCount);
-    }
-}
-
-void
-BertiPrefetcher::restoreState(SnapshotReader &r)
-{
-    Prefetcher::restoreState(r);
+    Prefetcher::serialize(io);
     for (IpEntry &e : table) {
-        e.tag = r.u16();
-        e.valid = r.boolean();
+        io.u16(e.tag);
+        io.boolean(e.valid);
         for (HistEntry &h : e.hist) {
-            h.line = r.u64();
-            h.cycle = r.u64();
-            h.valid = r.boolean();
+            io.u64(h.line);
+            io.u64(h.cycle);
+            io.boolean(h.valid);
         }
         // observeImpl writes hist[histHead] and reads active[i] for
         // i < activeCount, unchecked.
-        e.histHead = static_cast<unsigned>(
-            r.bounded(r.u32(), kHistory, "Berti history head"));
+        io.bounded(e.histHead, kHistory, "Berti history head");
         for (DeltaScore &s : e.scores) {
-            s.delta = r.i32();
-            s.score = r.u32();
+            io.i32(s.delta);
+            io.u32(s.score);
         }
-        e.accessesThisRound = r.u32();
+        io.u32(e.accessesThisRound);
         for (std::int32_t &d : e.active)
-            d = r.i32();
-        e.activeCount = static_cast<unsigned>(r.bounded(
-            r.u32(), e.active.size() + 1, "Berti active delta count"));
+            io.i32(d);
+        io.bounded(e.activeCount, e.active.size() + 1,
+                   "Berti active delta count");
     }
 }
 

@@ -38,8 +38,7 @@ class BertiPrefetcher final : public Prefetcher
 
     void reset() override;
 
-    void saveState(SnapshotWriter &w) const override;
-    void restoreState(SnapshotReader &r) override;
+    void serialize(SnapshotIo &io) override;
 
     std::size_t
     storageBits() const override

@@ -151,49 +151,28 @@ IpcpPrefetcher::reset()
 }
 
 void
-IpcpPrefetcher::saveState(SnapshotWriter &w) const
+IpcpPrefetcher::serialize(SnapshotIo &io)
 {
-    Prefetcher::saveState(w);
-    for (const IpEntry &e : ipTable) {
-        w.u16(e.tag);
-        w.boolean(e.valid);
-        w.u64(e.lastPage);
-        w.u32(e.lastOffset);
-        w.i32(e.stride);
-        w.u16(e.csConf.raw());
-        w.u16(e.signature);
-        w.u8(static_cast<std::uint8_t>(e.cls));
-    }
-    for (const CsptEntry &c : cspt) {
-        w.i32(c.stride);
-        w.u16(c.conf.raw());
-    }
-    w.u64(gsLastLine);
-    w.i32(gsRun);
-    w.i32(gsDirection);
-}
-
-void
-IpcpPrefetcher::restoreState(SnapshotReader &r)
-{
-    Prefetcher::restoreState(r);
+    Prefetcher::serialize(io);
     for (IpEntry &e : ipTable) {
-        e.tag = r.u16();
-        e.valid = r.boolean();
-        e.lastPage = r.u64();
-        e.lastOffset = r.u32();
-        e.stride = r.i32();
-        e.csConf = SatCounter<2>(r.u16());
-        e.signature = r.u16();
-        e.cls = static_cast<IpClass>(r.u8());
+        io.u16(e.tag);
+        io.boolean(e.valid);
+        io.u64(e.lastPage);
+        io.u32(e.lastOffset);
+        io.i32(e.stride);
+        e.csConf.serialize(io);
+        io.u16(e.signature);
+        auto cls = static_cast<std::uint8_t>(e.cls);
+        io.u8(cls);
+        e.cls = static_cast<IpClass>(cls);
     }
     for (CsptEntry &c : cspt) {
-        c.stride = r.i32();
-        c.conf = SatCounter<2>(r.u16());
+        io.i32(c.stride);
+        c.conf.serialize(io);
     }
-    gsLastLine = r.u64();
-    gsRun = r.i32();
-    gsDirection = r.i32();
+    io.u64(gsLastLine);
+    io.i32(gsRun);
+    io.i32(gsDirection);
 }
 
 } // namespace athena

@@ -103,42 +103,23 @@ MlopPrefetcher::reset()
 }
 
 void
-MlopPrefetcher::saveState(SnapshotWriter &w) const
+MlopPrefetcher::serialize(SnapshotIo &io)
 {
-    Prefetcher::saveState(w);
-    for (const AmtEntry &e : amt) {
-        w.u64(e.pageTag);
-        w.boolean(e.valid);
-        w.u64(e.bitmap);
-        w.u64(e.lruStamp);
-    }
-    for (unsigned s : scores)
-        w.u32(s);
-    for (int a : active)
-        w.i32(a);
-    w.u32(activeCount);
-    w.u32(roundAccesses);
-    w.u64(lruClock);
-}
-
-void
-MlopPrefetcher::restoreState(SnapshotReader &r)
-{
-    Prefetcher::restoreState(r);
+    Prefetcher::serialize(io);
     for (AmtEntry &e : amt) {
-        e.pageTag = r.u64();
-        e.valid = r.boolean();
-        e.bitmap = r.u64();
-        e.lruStamp = r.u64();
+        io.u64(e.pageTag);
+        io.boolean(e.valid);
+        io.u64(e.bitmap);
+        io.u64(e.lruStamp);
     }
     for (unsigned &s : scores)
-        s = r.u32();
+        io.u32(s);
     for (int &a : active)
-        a = r.i32();
-    activeCount = static_cast<unsigned>(r.bounded(
-        r.u32(), active.size() + 1, "MLOP active offset count"));
-    roundAccesses = r.u32();
-    lruClock = r.u64();
+        io.i32(a);
+    io.bounded(activeCount, active.size() + 1,
+               "MLOP active offset count");
+    io.u32(roundAccesses);
+    io.u64(lruClock);
 }
 
 } // namespace athena

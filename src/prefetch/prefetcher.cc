@@ -69,15 +69,11 @@ Prefetcher::observe(const PrefetchTrigger &trigger, CandidateVec &out)
 }
 
 void
-Prefetcher::saveState(SnapshotWriter &w) const
+Prefetcher::serialize(SnapshotIo &io)
 {
-    w.u32(currentDegree);
-}
-
-void
-Prefetcher::restoreState(SnapshotReader &r)
-{
-    setDegree(r.u32());
+    io.u32(currentDegree);
+    if (io.loading())
+        setDegree(currentDegree); // clamp to dmax
 }
 
 const char *

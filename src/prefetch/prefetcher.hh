@@ -25,8 +25,7 @@
 namespace athena
 {
 
-class SnapshotReader;
-class SnapshotWriter;
+class SnapshotIo;
 
 /**
  * One prefetch candidate emitted by a prefetcher. Deliberately
@@ -210,12 +209,10 @@ class Prefetcher
     }
 
     /**
-     * Snapshot contract: the base serializes the throttled degree;
-     * stateful prefetchers override both and call the base first,
-     * so save/restore orders stay mirrored.
+     * Snapshot walk: the base serializes the throttled degree;
+     * stateful prefetchers override it and call the base first.
      */
-    virtual void saveState(SnapshotWriter &w) const;
-    virtual void restoreState(SnapshotReader &r);
+    virtual void serialize(SnapshotIo &io);
 
   private:
     unsigned maxDeg;

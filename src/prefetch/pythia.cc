@@ -265,65 +265,33 @@ PythiaPrefetcher::reset()
 }
 
 void
-PythiaPrefetcher::saveState(SnapshotWriter &w) const
+PythiaPrefetcher::serialize(SnapshotIo &io)
 {
-    Prefetcher::saveState(w);
-    for (const auto &row : plane1) {
-        for (double v : row)
-            w.f64(v);
-    }
-    for (const auto &row : plane2) {
-        for (double v : row)
-            w.f64(v);
-    }
-    for (const EqEntry &e : eqBuf) {
-        w.u64(e.f1);
-        w.u64(e.f2);
-        w.u32(e.action);
-        w.boolean(e.rewarded);
-        w.boolean(e.dropped);
-        w.f64(e.reward);
-    }
-    w.u32(eqHead);
-    w.u32(eqCount);
-    w.u64(eqBase);
-    w.u64(lastLine);
-    w.boolean(highBandwidth);
-    w.u64(rng.rawState());
-    w.u32(histKey);
-}
-
-void
-PythiaPrefetcher::restoreState(SnapshotReader &r)
-{
-    Prefetcher::restoreState(r);
+    Prefetcher::serialize(io);
     for (auto &row : plane1) {
         for (double &v : row)
-            v = r.f64();
+            io.f64(v);
     }
     for (auto &row : plane2) {
         for (double &v : row)
-            v = r.f64();
+            io.f64(v);
     }
     for (EqEntry &e : eqBuf) {
-        e.f1 = r.u64();
-        e.f2 = r.u64();
+        io.u64(e.f1);
+        io.u64(e.f2);
         // Indexes the Q planes and the offset list unchecked.
-        e.action = static_cast<unsigned>(
-            r.bounded(r.u32(), kActions, "Pythia EQ action"));
-        e.rewarded = r.boolean();
-        e.dropped = r.boolean();
-        e.reward = r.f64();
+        io.bounded(e.action, kActions, "Pythia EQ action");
+        io.boolean(e.rewarded);
+        io.boolean(e.dropped);
+        io.f64(e.reward);
     }
-    eqHead = static_cast<unsigned>(
-        r.bounded(r.u32(), kEqCapacity, "Pythia EQ head"));
-    eqCount = static_cast<unsigned>(
-        r.bounded(r.u32(), kEqCapacity + 1, "Pythia EQ occupancy"));
-    eqBase = r.u64();
-    lastLine = r.u64();
-    highBandwidth = r.boolean();
-    rng.setRawState(r.u64());
-    histKey = r.u32();
+    io.bounded(eqHead, kEqCapacity, "Pythia EQ head");
+    io.bounded(eqCount, kEqCapacity + 1, "Pythia EQ occupancy");
+    io.u64(eqBase);
+    io.u64(lastLine);
+    io.boolean(highBandwidth);
+    rng.serialize(io);
+    io.u32(histKey);
 }
 
 } // namespace athena

@@ -51,8 +51,7 @@ class PythiaPrefetcher final : public Prefetcher
 
     /** Snapshot contract: Q planes, the EQ ring, the feature
      *  history and RNG; epsilonThreshold is a constant. */
-    void saveState(SnapshotWriter &w) const override;
-    void restoreState(SnapshotReader &r) override;
+    void serialize(SnapshotIo &io) override;
 
     std::size_t
     storageBits() const override

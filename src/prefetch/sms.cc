@@ -88,41 +88,22 @@ SmsPrefetcher::reset()
 }
 
 void
-SmsPrefetcher::saveState(SnapshotWriter &w) const
+SmsPrefetcher::serialize(SnapshotIo &io)
 {
-    Prefetcher::saveState(w);
-    for (const AgtEntry &e : agt) {
-        w.u64(e.region);
-        w.boolean(e.valid);
-        w.u64(e.key);
-        w.u64(e.bitmap);
-        w.u64(e.lruStamp);
-    }
-    for (const PhtEntry &e : pht) {
-        w.u16(e.tag);
-        w.boolean(e.valid);
-        w.u64(e.bitmap);
-    }
-    w.u64(lruClock);
-}
-
-void
-SmsPrefetcher::restoreState(SnapshotReader &r)
-{
-    Prefetcher::restoreState(r);
+    Prefetcher::serialize(io);
     for (AgtEntry &e : agt) {
-        e.region = r.u64();
-        e.valid = r.boolean();
-        e.key = r.u64();
-        e.bitmap = r.u64();
-        e.lruStamp = r.u64();
+        io.u64(e.region);
+        io.boolean(e.valid);
+        io.u64(e.key);
+        io.u64(e.bitmap);
+        io.u64(e.lruStamp);
     }
     for (PhtEntry &e : pht) {
-        e.tag = r.u16();
-        e.valid = r.boolean();
-        e.bitmap = r.u64();
+        io.u16(e.tag);
+        io.boolean(e.valid);
+        io.u64(e.bitmap);
     }
-    lruClock = r.u64();
+    io.u64(lruClock);
 }
 
 } // namespace athena

@@ -37,8 +37,7 @@ class SmsPrefetcher final : public Prefetcher
 
     void reset() override;
 
-    void saveState(SnapshotWriter &w) const override;
-    void restoreState(SnapshotReader &r) override;
+    void serialize(SnapshotIo &io) override;
 
     std::size_t
     storageBits() const override

@@ -175,63 +175,34 @@ SppPpfPrefetcher::reset()
 }
 
 void
-SppPpfPrefetcher::saveState(SnapshotWriter &w) const
+SppPpfPrefetcher::serialize(SnapshotIo &io)
 {
-    Prefetcher::saveState(w);
-    for (const StEntry &e : st) {
-        w.u64(e.pageTag);
-        w.boolean(e.valid);
-        w.u32(e.lastOffset);
-        w.u16(e.signature);
-    }
-    for (const PtEntry &e : pt) {
-        for (const PtDelta &d : e.deltas) {
-            w.u8(static_cast<std::uint8_t>(d.delta));
-            w.u8(d.count);
-        }
-        w.u8(e.sigCount);
-    }
-    for (const auto &table : ppf) {
-        for (const SignedSatCounter<6> &c : table)
-            w.i32(c.raw());
-    }
-    for (const Record &rec : ring) {
-        for (std::uint16_t idx : rec.featureIdx)
-            w.u16(idx);
-        w.boolean(rec.open);
-    }
-    w.u64(ringHead);
-}
-
-void
-SppPpfPrefetcher::restoreState(SnapshotReader &r)
-{
-    Prefetcher::restoreState(r);
+    Prefetcher::serialize(io);
     for (StEntry &e : st) {
-        e.pageTag = r.u64();
-        e.valid = r.boolean();
-        e.lastOffset = r.u32();
-        e.signature = r.u16();
+        io.u64(e.pageTag);
+        io.boolean(e.valid);
+        io.u32(e.lastOffset);
+        io.u16(e.signature);
     }
     for (PtEntry &e : pt) {
         for (PtDelta &d : e.deltas) {
-            d.delta = static_cast<std::int8_t>(r.u8());
-            d.count = r.u8();
+            auto delta = static_cast<std::uint8_t>(d.delta);
+            io.u8(delta);
+            d.delta = static_cast<std::int8_t>(delta);
+            io.u8(d.count);
         }
-        e.sigCount = r.u8();
+        io.u8(e.sigCount);
     }
     for (auto &table : ppf) {
         for (SignedSatCounter<6> &c : table)
-            c = SignedSatCounter<6>::restore(r);
+            c.serialize(io);
     }
     for (Record &rec : ring) {
-        for (std::uint16_t &idx : rec.featureIdx) {
-            idx = static_cast<std::uint16_t>(r.bounded(
-                r.u16(), kPpfTableSize, "SPP-PPF feature index"));
-        }
-        rec.open = r.boolean();
+        for (std::uint16_t &idx : rec.featureIdx)
+            io.bounded(idx, kPpfTableSize, "SPP-PPF feature index");
+        io.boolean(rec.open);
     }
-    ringHead = r.u64();
+    io.u64(ringHead);
 }
 
 } // namespace athena

@@ -45,8 +45,7 @@ class SppPpfPrefetcher final : public Prefetcher
 
     void reset() override;
 
-    void saveState(SnapshotWriter &w) const override;
-    void restoreState(SnapshotReader &r) override;
+    void serialize(SnapshotIo &io) override;
 
     std::size_t
     storageBits() const override

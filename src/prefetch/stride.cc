@@ -62,28 +62,15 @@ StridePrefetcher::reset()
 }
 
 void
-StridePrefetcher::saveState(SnapshotWriter &w) const
+StridePrefetcher::serialize(SnapshotIo &io)
 {
-    Prefetcher::saveState(w);
-    for (const Entry &e : table) {
-        w.u64(e.tag);
-        w.u64(e.lastLine);
-        w.i64(e.stride);
-        w.u16(e.conf.raw());
-        w.boolean(e.valid);
-    }
-}
-
-void
-StridePrefetcher::restoreState(SnapshotReader &r)
-{
-    Prefetcher::restoreState(r);
+    Prefetcher::serialize(io);
     for (Entry &e : table) {
-        e.tag = r.u64();
-        e.lastLine = r.u64();
-        e.stride = r.i64();
-        e.conf = SatCounter<2>(r.u16());
-        e.valid = r.boolean();
+        io.u64(e.tag);
+        io.u64(e.lastLine);
+        io.i64(e.stride);
+        e.conf.serialize(io);
+        io.boolean(e.valid);
     }
 }
 

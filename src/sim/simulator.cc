@@ -223,7 +223,8 @@ Simulator::Simulator(const SystemConfig &config,
     : Simulator(config, workloads)
 {
     SnapshotReader r(resume_from);
-    restoreFrom(r);
+    SnapshotIo io(r);
+    serialize(io);
 }
 
 Simulator::~Simulator() = default;
@@ -808,48 +809,6 @@ Simulator::run(const RunPlan &plan)
 namespace
 {
 
-void
-writeDramCounterBlock(SnapshotWriter &w, const DramCounters &d)
-{
-    w.u64(d.demandRequests);
-    w.u64(d.prefetchRequests);
-    w.u64(d.ocpRequests);
-    w.u64(d.rowHits);
-    w.u64(d.rowMisses);
-    w.u64(d.busBusyCycles);
-}
-
-void
-readDramCounterBlock(SnapshotReader &r, DramCounters &d)
-{
-    d.demandRequests = r.u64();
-    d.prefetchRequests = r.u64();
-    d.ocpRequests = r.u64();
-    d.rowHits = r.u64();
-    d.rowMisses = r.u64();
-    d.busBusyCycles = r.u64();
-}
-
-void
-writeCoreCounterBlock(SnapshotWriter &w, const CoreCounters &c)
-{
-    w.u64(c.instructions);
-    w.u64(c.loads);
-    w.u64(c.stores);
-    w.u64(c.branches);
-    w.u64(c.branchMispredicts);
-}
-
-void
-readCoreCounterBlock(SnapshotReader &r, CoreCounters &c)
-{
-    c.instructions = r.u64();
-    c.loads = r.u64();
-    c.stores = r.u64();
-    c.branches = r.u64();
-    c.branchMispredicts = r.u64();
-}
-
 /** Per-core section tag: "c<i>/<what>". */
 std::string
 coreTag(unsigned core, const char *what)
@@ -860,10 +819,11 @@ coreTag(unsigned core, const char *what)
 } // namespace
 
 void
-Simulator::snapshot(const std::string &path) const
+Simulator::snapshot(const std::string &path)
 {
     SnapshotWriter w;
-    saveTo(w);
+    SnapshotIo io(w);
+    serialize(io);
     w.writeFile(path);
 }
 
@@ -886,227 +846,122 @@ Simulator::snapshot(const std::string &path) const
  *   c<i>/epoch  epoch window + decision + diagnostics counters
  */
 void
-Simulator::saveTo(SnapshotWriter &w) const
+Simulator::serialize(SnapshotIo &io)
 {
-    w.beginSection("meta");
-    w.u64(cfg.configKey());
-    w.u32(cfg.cores);
-    w.u32(cfg.llcBanks);
-    w.u32(cfg.dramChannels);
-    w.endSection();
-
-    w.beginSection("resume");
-    w.u64(resumeWarmup);
-    w.boolean(measure.anyStarted);
-    writeDramCounterBlock(w, measure.dramAtStart);
-    w.u64(measure.maxNowAtStart);
-    for (unsigned c = 0; c < cfg.cores; ++c) {
-        const MeasureStart &ms = measure.starts[c];
-        w.boolean(measure.started[c] != 0);
-        w.u64(ms.instr);
-        w.u64(ms.cycle);
-        w.u64(ms.loads);
-        w.u64(ms.stores);
-        w.u64(ms.mispredicts);
-        w.u64(ms.llcMisses);
-        w.u64(ms.llcMissLatency);
-    }
-    w.endSection();
-
-    for (unsigned b = 0; b < llc->bankCount(); ++b) {
-        w.beginSection("llc/b" + std::to_string(b));
-        llc->bank(b).saveState(w);
-        w.endSection();
-    }
-
-    for (unsigned ch = 0; ch < dram->channelCount(); ++ch) {
-        w.beginSection("dram/ch" + std::to_string(ch));
-        dram->channel(ch).saveState(w);
-        w.endSection();
-    }
-
-    for (unsigned c = 0; c < cfg.cores; ++c) {
-        const CoreCtx &cc = *coreCtxs[c];
-
-        w.beginSection(coreTag(c, "wl"));
-        cc.workload->saveState(w);
-        w.endSection();
-
-        w.beginSection(coreTag(c, "core"));
-        cc.core->saveState(w);
-        w.endSection();
-
-        w.beginSection(coreTag(c, "l1"));
-        cc.l1.saveState(w);
-        w.endSection();
-
-        w.beginSection(coreTag(c, "l2"));
-        cc.l2.saveState(w);
-        w.endSection();
-
-        for (unsigned s = 0; s < cc.prefetchers.size(); ++s) {
-            w.beginSection(coreTag(c, "pf") + std::to_string(s));
-            cc.prefetchers[s]->saveState(w);
-            w.endSection();
-        }
-
-        if (cc.ocp) {
-            w.beginSection(coreTag(c, "ocp"));
-            cc.ocp->saveState(w);
-            w.endSection();
-        }
-
-        w.beginSection(coreTag(c, "policy"));
-        cc.policy->saveState(w);
-        w.endSection();
-
-        w.beginSection(coreTag(c, "epoch"));
-        writeCoordDecision(w, cc.decision);
-        writeEpochStats(w, cc.window);
-        w.u64(cc.epochStartInstr);
-        w.u64(cc.epochStartCycle);
-        writeCoreCounterBlock(w, cc.epochStartCounters);
-        w.u64(cc.lastBusBusy);
-        writeDramCounterBlock(w, cc.lastDram);
-        cc.pollutionBloom.saveState(w);
-        for (const PrefetcherSlotStats &ps : cc.pfStats) {
-            w.u64(ps.issued);
-            w.u64(ps.used);
-            w.u64(ps.usedTimely);
-            w.u64(ps.uselessEvictions);
-            w.u64(ps.fillsFromDram);
-            w.u64(ps.fillsFromDramUnused);
-        }
-        w.u64(cc.ocpPredictions);
-        w.u64(cc.ocpCorrect);
-        w.u64(cc.llcMissesTotal);
-        w.u64(cc.llcMissLatencyTotal);
-        w.endSection();
-    }
-}
-
-void
-Simulator::restoreFrom(SnapshotReader &r)
-{
-    r.openSection("meta");
-    const std::uint64_t key = r.u64();
-    const std::uint32_t snap_cores = r.u32();
-    const std::uint32_t snap_banks = r.u32();
-    const std::uint32_t snap_channels = r.u32();
+    io.section("meta");
+    const std::uint64_t want_key = cfg.configKey();
+    std::uint64_t key = want_key;
+    std::uint32_t cores = cfg.cores;
+    std::uint32_t banks = cfg.llcBanks;
+    std::uint32_t channels = cfg.dramChannels;
+    io.u64(key);
+    io.u32(cores);
+    io.u32(banks);
+    io.u32(channels);
     // Shard-geometry guards run before the config-key comparison so
     // a cross-geometry snapshot fails with an error naming the
     // mismatched dimension (the key differs too — llcBanks and
     // dramChannels are hashed — but "config key mismatch" would
-    // hide which knob moved).
-    if (snap_banks != cfg.llcBanks) {
-        throw SnapshotError(
-            "meta", "LLC bank count mismatch: snapshot has " +
-                        std::to_string(snap_banks) +
-                        ", configuration wants " +
-                        std::to_string(cfg.llcBanks));
-    }
-    if (snap_channels != cfg.dramChannels) {
-        throw SnapshotError(
-            "meta", "DRAM channel count mismatch: snapshot has " +
-                        std::to_string(snap_channels) +
-                        ", configuration wants " +
-                        std::to_string(cfg.dramChannels));
-    }
-    if (snap_cores != cfg.cores) {
-        throw SnapshotError(
-            "meta", "core count mismatch: snapshot has " +
-                        std::to_string(snap_cores) +
-                        ", configuration wants " +
-                        std::to_string(cfg.cores));
-    }
-    if (key != cfg.configKey()) {
-        throw SnapshotError(
-            "meta",
-            "snapshot was taken under a different system "
-            "configuration (config key mismatch)");
-    }
+    // hide which knob moved). A save passes them trivially.
+    auto expect = [](std::uint32_t got, unsigned want, const char *what) {
+        if (got != want) {
+            throw SnapshotError(
+                "meta", std::string(what) + " mismatch: snapshot has " +
+                            std::to_string(got) +
+                            ", configuration wants " +
+                            std::to_string(want));
+        }
+    };
+    expect(banks, cfg.llcBanks, "LLC bank count");
+    expect(channels, cfg.dramChannels, "DRAM channel count");
+    expect(cores, cfg.cores, "core count");
+    io.check(key == want_key,
+             "snapshot was taken under a different system "
+             "configuration (config key mismatch)");
 
-    r.openSection("resume");
-    resumeWarmup = r.u64();
-    measure.anyStarted = r.boolean();
-    readDramCounterBlock(r, measure.dramAtStart);
-    measure.maxNowAtStart = r.u64();
-    measure.starts.assign(cfg.cores, MeasureStart{});
-    measure.started.assign(cfg.cores, 0);
+    io.section("resume");
+    io.u64(resumeWarmup);
+    io.boolean(measure.anyStarted);
+    measure.dramAtStart.serialize(io);
+    io.u64(measure.maxNowAtStart);
     for (unsigned c = 0; c < cfg.cores; ++c) {
         MeasureStart &ms = measure.starts[c];
-        measure.started[c] = r.boolean() ? 1 : 0;
-        ms.instr = r.u64();
-        ms.cycle = r.u64();
-        ms.loads = r.u64();
-        ms.stores = r.u64();
-        ms.mispredicts = r.u64();
-        ms.llcMisses = r.u64();
-        ms.llcMissLatency = r.u64();
+        bool started = measure.started[c] != 0;
+        io.boolean(started);
+        measure.started[c] = started ? 1 : 0;
+        io.u64(ms.instr);
+        io.u64(ms.cycle);
+        io.u64(ms.loads);
+        io.u64(ms.stores);
+        io.u64(ms.mispredicts);
+        io.u64(ms.llcMisses);
+        io.u64(ms.llcMissLatency);
     }
 
     for (unsigned b = 0; b < llc->bankCount(); ++b) {
-        r.openSection("llc/b" + std::to_string(b));
-        llc->bank(b).restoreState(r);
+        io.section("llc/b" + std::to_string(b));
+        llc->bank(b).serialize(io);
     }
 
     for (unsigned ch = 0; ch < dram->channelCount(); ++ch) {
-        r.openSection("dram/ch" + std::to_string(ch));
-        dram->channel(ch).restoreState(r);
+        io.section("dram/ch" + std::to_string(ch));
+        dram->channel(ch).serialize(io);
     }
 
     for (unsigned c = 0; c < cfg.cores; ++c) {
         CoreCtx &cc = *coreCtxs[c];
 
-        r.openSection(coreTag(c, "wl"));
-        cc.workload->restoreState(r);
+        io.section(coreTag(c, "wl"));
+        cc.workload->serialize(io);
 
-        r.openSection(coreTag(c, "core"));
-        cc.core->restoreState(r);
+        io.section(coreTag(c, "core"));
+        cc.core->serialize(io);
 
-        r.openSection(coreTag(c, "l1"));
-        cc.l1.restoreState(r);
+        io.section(coreTag(c, "l1"));
+        cc.l1.serialize(io);
 
-        r.openSection(coreTag(c, "l2"));
-        cc.l2.restoreState(r);
+        io.section(coreTag(c, "l2"));
+        cc.l2.serialize(io);
 
         for (unsigned s = 0; s < cc.prefetchers.size(); ++s) {
-            r.openSection(coreTag(c, "pf") + std::to_string(s));
-            cc.prefetchers[s]->restoreState(r);
+            io.section(coreTag(c, "pf") + std::to_string(s));
+            cc.prefetchers[s]->serialize(io);
         }
 
         if (cc.ocp) {
-            r.openSection(coreTag(c, "ocp"));
-            cc.ocp->restoreState(r);
+            io.section(coreTag(c, "ocp"));
+            cc.ocp->serialize(io);
         }
 
-        r.openSection(coreTag(c, "policy"));
-        cc.policy->restoreState(r);
+        io.section(coreTag(c, "policy"));
+        cc.policy->serialize(io);
 
-        r.openSection(coreTag(c, "epoch"));
-        readCoordDecision(r, cc.decision);
-        readEpochStats(r, cc.window);
-        cc.epochStartInstr = r.u64();
-        cc.epochStartCycle = r.u64();
-        readCoreCounterBlock(r, cc.epochStartCounters);
-        cc.lastBusBusy = r.u64();
-        readDramCounterBlock(r, cc.lastDram);
-        cc.pollutionBloom.restoreState(r);
+        io.section(coreTag(c, "epoch"));
+        cc.decision.serialize(io);
+        cc.window.serialize(io);
+        io.u64(cc.epochStartInstr);
+        io.u64(cc.epochStartCycle);
+        cc.epochStartCounters.serialize(io);
+        io.u64(cc.lastBusBusy);
+        cc.lastDram.serialize(io);
+        cc.pollutionBloom.serialize(io);
         for (PrefetcherSlotStats &ps : cc.pfStats) {
-            ps.issued = r.u64();
-            ps.used = r.u64();
-            ps.usedTimely = r.u64();
-            ps.uselessEvictions = r.u64();
-            ps.fillsFromDram = r.u64();
-            ps.fillsFromDramUnused = r.u64();
+            io.u64(ps.issued);
+            io.u64(ps.used);
+            io.u64(ps.usedTimely);
+            io.u64(ps.uselessEvictions);
+            io.u64(ps.fillsFromDram);
+            io.u64(ps.fillsFromDramUnused);
         }
-        cc.ocpPredictions = r.u64();
-        cc.ocpCorrect = r.u64();
-        cc.llcMissesTotal = r.u64();
-        cc.llcMissLatencyTotal = r.u64();
+        io.u64(cc.ocpPredictions);
+        io.u64(cc.ocpCorrect);
+        io.u64(cc.llcMissesTotal);
+        io.u64(cc.llcMissLatencyTotal);
     }
+    io.endSection();
 
-    resumed = true;
+    if (io.loading())
+        resumed = true;
 }
 
 } // namespace athena

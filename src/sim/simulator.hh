@@ -33,8 +33,7 @@
 namespace athena
 {
 
-class SnapshotReader;
-class SnapshotWriter;
+class SnapshotIo;
 
 /** Cumulative per-prefetcher-slot statistics. */
 struct PrefetcherSlotStats
@@ -211,7 +210,7 @@ class Simulator
      * between instruction steps. Throws SnapshotError on I/O
      * failure.
      */
-    void snapshot(const std::string &path) const;
+    void snapshot(const std::string &path);
 
     /** The coordination policy of a core (tests introspect). */
     CoordinationPolicy &policy(unsigned core = 0);
@@ -239,9 +238,8 @@ class Simulator
                                       Cycle demand_cycle);
     void maybeEndEpoch(unsigned core);
 
-    // Snapshot plumbing (section layout in simulator.cc).
-    void saveTo(SnapshotWriter &w) const;
-    void restoreFrom(SnapshotReader &r);
+    /** Snapshot walk over every section (layout in simulator.cc). */
+    void serialize(SnapshotIo &io);
 
     /** Measurement-window start sample of one core. */
     struct MeasureStart

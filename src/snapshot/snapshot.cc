@@ -1,6 +1,6 @@
 /**
  * @file
- * Snapshot writer/reader implementation.
+ * Snapshot writer, reader and SnapshotIo implementation.
  */
 
 #include "snapshot/snapshot.hh"
@@ -26,57 +26,6 @@ namespace
 constexpr std::size_t kHeaderBytes = 16;
 constexpr std::size_t kTableEntryBytes =
     kSnapshotTagBytes + 8 + 8 + 8;
-
-void
-putU16(std::vector<std::uint8_t> &out, std::uint16_t v)
-{
-    out.push_back(static_cast<std::uint8_t>(v));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void
-putU32(std::vector<std::uint8_t> &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-putU16At(std::uint8_t *p, std::uint16_t v)
-{
-    p[0] = static_cast<std::uint8_t>(v);
-    p[1] = static_cast<std::uint8_t>(v >> 8);
-}
-
-void
-putU32At(std::uint8_t *p, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-std::uint16_t
-getU16(const std::uint8_t *p)
-{
-    return static_cast<std::uint16_t>(p[0] |
-                                      (std::uint32_t{p[1]} << 8));
-}
-
-std::uint32_t
-getU32(const std::uint8_t *p)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= std::uint32_t{p[i]} << (8 * i);
-    return v;
-}
 
 // XXH64 primes.
 constexpr std::uint64_t kPrime1 = 0x9e3779b185ebca87ull;
@@ -146,7 +95,7 @@ snapshotChecksum(const std::uint8_t *p, std::size_t n)
         h = std::rotl(h, 27) * kPrime1 + kPrime4;
     }
     if (end - p >= 4) {
-        h ^= std::uint64_t{getU32(p)} * kPrime1;
+        h ^= std::uint64_t{loadLe<std::uint32_t>(p)} * kPrime1;
         h = std::rotl(h, 23) * kPrime2 + kPrime3;
         p += 4;
     }
@@ -195,33 +144,6 @@ SnapshotWriter::endSection()
 }
 
 void
-SnapshotWriter::u16(std::uint16_t v)
-{
-    putU16(payload, v);
-}
-
-void
-SnapshotWriter::u32(std::uint32_t v)
-{
-    putU32(payload, v);
-}
-
-void
-SnapshotWriter::u64(std::uint64_t v)
-{
-    putU64(payload, v);
-}
-
-void
-SnapshotWriter::f64(double v)
-{
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v), "double width");
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-}
-
-void
 SnapshotWriter::bytes(const void *p, std::size_t n)
 {
     const auto *b = static_cast<const std::uint8_t *>(p);
@@ -231,9 +153,7 @@ SnapshotWriter::bytes(const void *p, std::size_t n)
 void
 SnapshotWriter::u64Array(const std::uint64_t *p, std::size_t n)
 {
-    const std::size_t at = payload.size();
-    payload.resize(at + n * 8);
-    std::uint8_t *out = payload.data() + at;
+    std::uint8_t *out = block(n * 8);
     for (std::size_t i = 0; i < n; ++i)
         storeLe64(out + 8 * i, p[i]);
 }
@@ -253,10 +173,10 @@ SnapshotWriter::serialize() const
     std::vector<std::uint8_t> out(payload_base + payload.size());
     std::uint8_t *p = out.data();
     std::memcpy(p, kSnapshotMagic, 4);
-    putU16At(p + 4, kSnapshotVersion);
-    putU16At(p + 6, static_cast<std::uint16_t>(kSnapshotTagBytes));
-    putU32At(p + 8, static_cast<std::uint32_t>(sections.size()));
-    putU32At(p + 12, 0);
+    storeLe<std::uint16_t>(p + 4, kSnapshotVersion);
+    storeLe<std::uint16_t>(p + 6, kSnapshotTagBytes);
+    storeLe<std::uint32_t>(p + 8, sections.size());
+    storeLe<std::uint32_t>(p + 12, 0);
     p += kHeaderBytes;
     for (const Section &s : sections) {
         std::memset(p, 0, kSnapshotTagBytes);
@@ -370,17 +290,17 @@ SnapshotReader::parse()
         throw SnapshotError("", "truncated snapshot header");
     if (std::memcmp(data, kSnapshotMagic, 4) != 0)
         throw SnapshotError("", "bad snapshot magic");
-    std::uint16_t version = getU16(data + 4);
+    std::uint16_t version = loadLe<std::uint16_t>(data + 4);
     if (version != kSnapshotVersion) {
         throw SnapshotError(
             "", "unsupported snapshot version " +
                     std::to_string(version) + " (expected " +
                     std::to_string(kSnapshotVersion) + ")");
     }
-    std::uint16_t tag_bytes = getU16(data + 6);
+    std::uint16_t tag_bytes = loadLe<std::uint16_t>(data + 6);
     if (tag_bytes != kSnapshotTagBytes)
         throw SnapshotError("", "bad section tag width");
-    std::uint32_t count = getU32(data + 8);
+    std::uint32_t count = loadLe<std::uint32_t>(data + 8);
     std::size_t table_end =
         kHeaderBytes + std::size_t{count} * kTableEntryBytes;
     if (table_end > size)
@@ -408,36 +328,25 @@ SnapshotReader::parse()
     }
 }
 
-const SnapshotReader::Entry *
-SnapshotReader::find(const std::string &tag) const
-{
-    for (const Entry &e : entries) {
-        if (e.tag == tag)
-            return &e;
-    }
-    return nullptr;
-}
-
-bool
-SnapshotReader::hasSection(const std::string &tag) const
-{
-    return find(tag) != nullptr;
-}
-
 void
 SnapshotReader::openSection(const std::string &tag)
 {
-    const Entry *e = find(tag);
+    Entry *e = nullptr;
+    for (Entry &entry : entries) {
+        if (entry.tag == tag) {
+            e = &entry;
+            break;
+        }
+    }
     if (!e)
         throw SnapshotError(tag, "missing section");
-    auto *mutable_e = const_cast<Entry *>(e);
-    if (!mutable_e->verified) {
+    if (!e->verified) {
         std::uint64_t sum =
             snapshotChecksum(data + e->offset, e->length);
         if (sum != e->checksum)
             throw SnapshotError(tag, "checksum mismatch (corrupted "
                                      "snapshot)");
-        mutable_e->verified = true;
+        e->verified = true;
     }
     curTag = tag;
     cursor = e->offset;
@@ -454,92 +363,6 @@ SnapshotReader::underflow(std::size_t need)
 }
 
 void
-SnapshotReader::outOfRange(std::uint64_t v, std::uint64_t limit,
-                           const char *what) const
-{
-    throw SnapshotError(curTag, std::string(what) + " " +
-                                    std::to_string(v) +
-                                    " out of range (must be < " +
-                                    std::to_string(limit) +
-                                    "; corrupt snapshot)");
-}
-
-void
-SnapshotReader::outOfRange(std::int64_t v, std::int64_t lo,
-                           std::int64_t hi, const char *what) const
-{
-    throw SnapshotError(curTag, std::string(what) + " " +
-                                    std::to_string(v) +
-                                    " out of range (must be in [" +
-                                    std::to_string(lo) + ", " +
-                                    std::to_string(hi) +
-                                    "]; corrupt snapshot)");
-}
-
-std::uint8_t
-SnapshotReader::u8()
-{
-    if (cursor + 1 > secEnd)
-        underflow(1);
-    return data[cursor++];
-}
-
-std::uint16_t
-SnapshotReader::u16()
-{
-    if (cursor + 2 > secEnd)
-        underflow(2);
-    std::uint16_t v = getU16(data + cursor);
-    cursor += 2;
-    return v;
-}
-
-std::uint32_t
-SnapshotReader::u32()
-{
-    if (cursor + 4 > secEnd)
-        underflow(4);
-    std::uint32_t v = getU32(data + cursor);
-    cursor += 4;
-    return v;
-}
-
-std::uint64_t
-SnapshotReader::u64()
-{
-    if (cursor + 8 > secEnd)
-        underflow(8);
-    std::uint64_t v = loadLe64(data + cursor);
-    cursor += 8;
-    return v;
-}
-
-double
-SnapshotReader::f64()
-{
-    std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-}
-
-void
-SnapshotReader::bytes(void *p, std::size_t n)
-{
-    std::memcpy(p, block(n), n);
-}
-
-const std::uint8_t *
-SnapshotReader::block(std::size_t n)
-{
-    if (n > remaining())
-        underflow(n);
-    const std::uint8_t *p = data + cursor;
-    cursor += n;
-    return p;
-}
-
-void
 SnapshotReader::u64Array(std::uint64_t *p, std::size_t n)
 {
     if (n > remaining() / 8)
@@ -550,52 +373,66 @@ SnapshotReader::u64Array(std::uint64_t *p, std::size_t n)
     cursor += n * 8;
 }
 
-std::vector<std::uint64_t>
-SnapshotReader::vecU64()
-{
-    std::uint64_t n = u64();
-    if (n > remaining() / 8)
-        underflow(saturatingBytes(n, 8));
-    std::vector<std::uint64_t> v(static_cast<std::size_t>(n));
-    u64Array(v.data(), v.size());
-    return v;
-}
+// ---------------------------------------------------------------
+// SnapshotIo
+// ---------------------------------------------------------------
 
-std::vector<std::uint8_t>
-SnapshotReader::vecU8()
+void
+SnapshotIo::section(const std::string &tag)
 {
-    std::uint64_t n = u64();
-    if (n > remaining())
-        underflow(static_cast<std::size_t>(n));
-    std::vector<std::uint8_t> v(static_cast<std::size_t>(n));
-    bytes(v.data(), v.size());
-    return v;
+    if (r) {
+        r->openSection(tag);
+        return;
+    }
+    endSection();
+    w->beginSection(tag);
 }
 
 void
-SnapshotReader::expectU32(std::uint32_t want, const char *what)
+SnapshotIo::endSection()
 {
-    std::uint32_t got = u32();
-    if (got != want) {
-        throw SnapshotError(curTag,
-                            std::string(what) + " mismatch: snapshot "
-                            "has " + std::to_string(got) +
-                            ", expected " + std::to_string(want) +
-                            " (wrong geometry)");
-    }
+    if (w && w->sectionOpen())
+        w->endSection();
 }
 
 void
-SnapshotReader::expectU64(std::uint64_t want, const char *what)
+SnapshotIo::mismatch(std::uint64_t got, std::uint64_t want,
+                     const char *what) const
 {
-    std::uint64_t got = u64();
-    if (got != want) {
-        throw SnapshotError(curTag,
-                            std::string(what) + " mismatch: snapshot "
-                            "has " + std::to_string(got) +
-                            ", expected " + std::to_string(want) +
-                            " (wrong geometry)");
-    }
+    throw SnapshotError(r->currentSection(),
+                        std::string(what) + " mismatch: snapshot "
+                        "has " + std::to_string(got) +
+                        ", expected " + std::to_string(want) +
+                        " (wrong geometry)");
+}
+
+void
+SnapshotIo::outOfRange(std::uint64_t v, std::uint64_t limit,
+                       const char *what) const
+{
+    throw SnapshotError(r->currentSection(),
+                        std::string(what) + " " + std::to_string(v) +
+                            " out of range (must be < " +
+                            std::to_string(limit) +
+                            "; corrupt snapshot)");
+}
+
+void
+SnapshotIo::outOfRange(std::int64_t v, std::int64_t lo, std::int64_t hi,
+                       const char *what) const
+{
+    throw SnapshotError(r->currentSection(),
+                        std::string(what) + " " + std::to_string(v) +
+                            " out of range (must be in [" +
+                            std::to_string(lo) + ", " +
+                            std::to_string(hi) +
+                            "]; corrupt snapshot)");
+}
+
+void
+SnapshotIo::fail(const char *what) const
+{
+    throw SnapshotError(r->currentSection(), what);
 }
 
 } // namespace athena

@@ -1,7 +1,7 @@
 /**
  * @file
  * Versioned, mmap-loadable simulator snapshot format ("ASNP") and
- * the uniform save/restore component contract built on it.
+ * the one-walk component contract built on it.
  *
  * Layout (all little-endian fixed-width, in the spirit of the ATRC
  * binary trace format):
@@ -15,26 +15,33 @@
  *              u64 length; u64 checksum }
  *              payload sections (offsets are absolute)
  *
- * Every component serializes into its own named section via
- * SnapshotWriter; SnapshotReader maps the file read-only (buffered
- * read fallback), verifies a per-section XXH64 checksum (see
- * snapshotChecksum) when a section is opened, and bounds-checks
- * every primitive read against the section extent. Bulk arrays
- * (u64Array, block) take one bounds check per array, not per
- * element, and encode exactly the bytes of the per-element calls.
- * All failure modes — missing file, bad magic, wrong version,
- * truncated table or payload, corrupted bytes, geometry mismatches,
- * out-of-range restored indices (bounded) — raise SnapshotError
- * carrying the offending section's tag, never UB.
+ * SnapshotWriter accumulates named sections; SnapshotReader maps
+ * the file read-only (buffered read fallback), verifies a
+ * per-section XXH64 checksum (see snapshotChecksum) when a section
+ * is opened, and bounds-checks every read against the section
+ * extent. Bulk arrays (u64Array, block) take one bounds check per
+ * array, not per element, and encode exactly the bytes of the
+ * per-element calls. All failure modes — missing file, bad magic,
+ * wrong version, truncated table or payload, corrupted bytes,
+ * geometry mismatches, out-of-range restored values — raise
+ * SnapshotError carrying the offending section's tag, never UB.
  *
- * The component contract: each stateful component implements
- *   void saveState(SnapshotWriter &w) const;
- *   void restoreState(SnapshotReader &r);
- * writing/reading the *same* field sequence, geometry first (via
- * expectU32/expectU64 on restore), inside a section the owner
- * opened. Polymorphic hierarchies (Prefetcher, OffChipPredictor,
- * CoordinationPolicy, WorkloadGenerator) expose the pair as
- * virtuals with no-op defaults for stateless implementations.
+ * The component contract: each stateful component implements one
+ *   void serialize(SnapshotIo &io);
+ * that lists its fields once, in layout order, each by reference.
+ * SnapshotIo wraps the writer on save (each call writes the field)
+ * and the reader on restore (each call reads into it), so save and
+ * restore cannot drift apart. Geometry goes first (expectU32 /
+ * expectU64), and each guard sits on the field it guards: bounded
+ * and inRange write the value on save and range-check it on
+ * restore; check() tests fields already read, on restore only.
+ * Work that only a restore needs (rebuilding derived state,
+ * dropping memos) stays behind io.loading(). Polymorphic
+ * hierarchies (Prefetcher, OffChipPredictor, CoordinationPolicy,
+ * WorkloadGenerator) expose serialize as one virtual with a no-op
+ * default for stateless implementations; small value types
+ * (SatCounter, SignedSatCounter, Rng) carry a template
+ * serialize(Io &) so their headers need not include this one.
  */
 
 #ifndef ATHENA_SNAPSHOT_SNAPSHOT_HH
@@ -109,6 +116,37 @@ class SnapshotError : public std::runtime_error
     std::string tag;
 };
 
+/** Little-endian u16 / u32 at an unaligned address. */
+template <class T>
+inline T
+loadLe(const std::uint8_t *p)
+{
+    static_assert(sizeof(T) == 2 || sizeof(T) == 4, "u16 or u32");
+    T v;
+    std::memcpy(&v, p, sizeof(v));
+    if constexpr (std::endian::native == std::endian::big) {
+        if constexpr (sizeof(T) == 2)
+            v = __builtin_bswap16(v);
+        else
+            v = __builtin_bswap32(v);
+    }
+    return v;
+}
+
+template <class T>
+inline void
+storeLe(std::uint8_t *p, T v)
+{
+    static_assert(sizeof(T) == 2 || sizeof(T) == 4, "u16 or u32");
+    if constexpr (std::endian::native == std::endian::big) {
+        if constexpr (sizeof(T) == 2)
+            v = __builtin_bswap16(v);
+        else
+            v = __builtin_bswap32(v);
+    }
+    std::memcpy(p, &v, sizeof(v));
+}
+
 /**
  * Accumulates named sections of little-endian fixed-width fields
  * and serializes them with the header + section table + checksums.
@@ -120,31 +158,33 @@ class SnapshotWriter
     void beginSection(const std::string &tag);
     /** Close the current section (computes its checksum). */
     void endSection();
+    /** True between beginSection and endSection. */
+    bool sectionOpen() const { return inSection; }
 
     void u8(std::uint8_t v) { payload.push_back(v); }
-    void u16(std::uint16_t v);
-    void u32(std::uint32_t v);
-    void u64(std::uint64_t v);
+    void u16(std::uint16_t v) { storeLe(block(2), v); }
+    void u32(std::uint32_t v) { storeLe(block(4), v); }
+    void u64(std::uint64_t v) { storeLe64(block(8), v); }
     void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
     void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-    void f64(double v);
+    void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
     void boolean(bool v) { u8(v ? 1 : 0); }
     void bytes(const void *p, std::size_t n);
     /** @p n u64 values, the same bytes as @p n u64() calls. */
     void u64Array(const std::uint64_t *p, std::size_t n);
 
-    void
-    vecU64(const std::vector<std::uint64_t> &v)
+    /**
+     * Append @p n bytes and return them for the caller to fill, so
+     * a fixed-layout record block encodes in place (see storeLe64);
+     * the mirror of SnapshotReader::block. Valid until the next
+     * write.
+     */
+    std::uint8_t *
+    block(std::size_t n)
     {
-        u64(v.size());
-        u64Array(v.data(), v.size());
-    }
-
-    void
-    vecU8(const std::vector<std::uint8_t> &v)
-    {
-        u64(v.size());
-        bytes(v.data(), v.size());
+        const std::size_t at = payload.size();
+        payload.resize(at + n);
+        return payload.data() + at;
     }
 
     /** Serialize header + table + payload into one buffer. */
@@ -183,9 +223,6 @@ class SnapshotReader
     SnapshotReader(const SnapshotReader &) = delete;
     SnapshotReader &operator=(const SnapshotReader &) = delete;
 
-    /** True when the snapshot contains section @p tag. */
-    bool hasSection(const std::string &tag) const;
-
     /**
      * Open section @p tag for reading (verifies its checksum;
      * throws SnapshotError when missing, truncated, or corrupt).
@@ -193,62 +230,32 @@ class SnapshotReader
      */
     void openSection(const std::string &tag);
 
-    std::uint8_t u8();
-    std::uint16_t u16();
-    std::uint32_t u32();
-    std::uint64_t u64();
+    std::uint8_t u8() { return *block(1); }
+    std::uint16_t u16() { return loadLe<std::uint16_t>(block(2)); }
+    std::uint32_t u32() { return loadLe<std::uint32_t>(block(4)); }
+    std::uint64_t u64() { return loadLe64(block(8)); }
     std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
     std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-    double f64();
+    double f64() { return std::bit_cast<double>(u64()); }
     bool boolean() { return u8() != 0; }
-    void bytes(void *p, std::size_t n);
+    void bytes(void *p, std::size_t n) { std::memcpy(p, block(n), n); }
     /** Read what SnapshotWriter::u64Array wrote: one bounds check
      *  for the whole array, then a straight decode loop. */
     void u64Array(std::uint64_t *p, std::size_t n);
+
     /**
      * Consume the next @p n bytes after one bounds check and return
      * a pointer to them (valid while the reader lives), so a
      * fixed-layout record block decodes in place (see loadLe64).
      */
-    const std::uint8_t *block(std::size_t n);
-
-    std::vector<std::uint64_t> vecU64();
-    std::vector<std::uint8_t> vecU8();
-
-    /**
-     * Geometry guards: read one value and require it to equal
-     * @p want, throwing SnapshotError naming the current section
-     * and @p what on mismatch.
-     */
-    void expectU32(std::uint32_t want, const char *what);
-    void expectU64(std::uint64_t want, const char *what);
-
-    /**
-     * Range guard for a restored index, cursor or count: return
-     * @p v when it is below @p limit, else throw SnapshotError
-     * naming the current section and @p what.
-     */
-    std::uint64_t
-    bounded(std::uint64_t v, std::uint64_t limit, const char *what) const
+    const std::uint8_t *
+    block(std::size_t n)
     {
-        if (v >= limit)
-            outOfRange(v, limit, what);
-        return v;
-    }
-
-    /**
-     * Range guard for a restored value with a lower bound too (a
-     * signed weight, a level): return @p v when it lies in
-     * [@p lo, @p hi], else throw SnapshotError naming the current
-     * section and @p what.
-     */
-    std::int64_t
-    inRange(std::int64_t v, std::int64_t lo, std::int64_t hi,
-            const char *what) const
-    {
-        if (v < lo || v > hi)
-            outOfRange(v, lo, hi, what);
-        return v;
+        if (n > remaining())
+            underflow(n);
+        const std::uint8_t *p = data + cursor;
+        cursor += n;
+        return p;
     }
 
     /** Bytes left unread in the open section. */
@@ -268,13 +275,8 @@ class SnapshotReader
     };
 
     void parse();
-    const Entry *find(const std::string &tag) const;
     /** Throw a truncation error for the open section. */
     [[noreturn]] void underflow(std::size_t need);
-    [[noreturn]] void outOfRange(std::uint64_t v, std::uint64_t limit,
-                                 const char *what) const;
-    [[noreturn]] void outOfRange(std::int64_t v, std::int64_t lo,
-                                 std::int64_t hi, const char *what) const;
 
     const std::uint8_t *data = nullptr;
     std::size_t size = 0;
@@ -292,13 +294,164 @@ class SnapshotReader
 };
 
 /**
+ * One walk over a component's fields, both directions: wraps a
+ * SnapshotWriter on save and a SnapshotReader on restore. Every
+ * field call takes the field by reference — save writes it, restore
+ * reads into it — so a serialize() body is the section layout,
+ * spelled once. The per-field calls are inline: a resume runs
+ * hundreds of thousands of them.
+ */
+class SnapshotIo
+{
+  public:
+    explicit SnapshotIo(SnapshotWriter &writer) : w(&writer) {}
+    explicit SnapshotIo(SnapshotReader &reader) : r(&reader) {}
+
+    /** True on restore, false on save. */
+    bool loading() const { return r != nullptr; }
+
+    /**
+     * Start section @p tag: save closes the open section (if any)
+     * and begins this one; restore opens it (see openSection).
+     */
+    void section(const std::string &tag);
+    /** Save: close the open section. Restore: nothing to do. */
+    void endSection();
+
+    void u8(std::uint8_t &v) { if (r) v = r->u8(); else w->u8(v); }
+    void u16(std::uint16_t &v) { if (r) v = r->u16(); else w->u16(v); }
+    void u32(std::uint32_t &v) { if (r) v = r->u32(); else w->u32(v); }
+    void u64(std::uint64_t &v) { if (r) v = r->u64(); else w->u64(v); }
+    void i32(std::int32_t &v) { if (r) v = r->i32(); else w->i32(v); }
+    void i64(std::int64_t &v) { if (r) v = r->i64(); else w->i64(v); }
+    void f64(double &v) { if (r) v = r->f64(); else w->f64(v); }
+    void boolean(bool &v) { if (r) v = r->boolean(); else w->boolean(v); }
+
+    void
+    bytes(void *p, std::size_t n)
+    {
+        if (r)
+            r->bytes(p, n);
+        else
+            w->bytes(p, n);
+    }
+
+    void
+    u64Array(std::uint64_t *p, std::size_t n)
+    {
+        if (r)
+            r->u64Array(p, n);
+        else
+            w->u64Array(p, n);
+    }
+
+    /** Raw record block of @p n bytes to encode in place (save). */
+    std::uint8_t *saveBlock(std::size_t n) { return w->block(n); }
+    /** Raw record block of @p n bytes to decode (restore). */
+    const std::uint8_t *loadBlock(std::size_t n) { return r->block(n); }
+
+    /**
+     * Geometry guards: save writes @p want; restore reads a value
+     * and requires it to equal @p want, throwing SnapshotError
+     * naming the section and @p what on mismatch.
+     */
+    void
+    expectU32(std::uint32_t want, const char *what)
+    {
+        std::uint32_t got = want;
+        u32(got);
+        if (r && got != want)
+            mismatch(got, want, what);
+    }
+
+    void
+    expectU64(std::uint64_t want, const char *what)
+    {
+        std::uint64_t got = want;
+        u64(got);
+        if (r && got != want)
+            mismatch(got, want, what);
+    }
+
+    /**
+     * Range guards for an index, cursor or count: save writes @p v;
+     * restore reads it and throws SnapshotError naming the section
+     * and @p what unless it is below @p limit.
+     */
+    void
+    bounded(std::uint16_t &v, std::uint64_t limit, const char *what)
+    {
+        u16(v);
+        if (r && v >= limit)
+            outOfRange(v, limit, what);
+    }
+
+    void
+    bounded(std::uint32_t &v, std::uint64_t limit, const char *what)
+    {
+        u32(v);
+        if (r && v >= limit)
+            outOfRange(v, limit, what);
+    }
+
+    /**
+     * Range guards with a lower bound too (a signed weight, a
+     * level): as bounded(), but restore requires @p v in
+     * [@p lo, @p hi].
+     */
+    void
+    inRange(std::int32_t &v, std::int64_t lo, std::int64_t hi,
+            const char *what)
+    {
+        i32(v);
+        if (r && (v < lo || v > hi))
+            outOfRange(v, lo, hi, what);
+    }
+
+    void
+    inRange(std::uint32_t &v, std::int64_t lo, std::int64_t hi,
+            const char *what)
+    {
+        u32(v);
+        if (r && (v < lo || v > hi))
+            outOfRange(v, lo, hi, what);
+    }
+
+    /**
+     * Restore-only check over fields already read: throws
+     * SnapshotError naming the section, with message @p what, when
+     * @p ok is false. A save never fails it (the live state it
+     * writes is valid by construction).
+     */
+    void
+    check(bool ok, const char *what) const
+    {
+        if (r && !ok)
+            fail(what);
+    }
+
+  private:
+    // Cold restore-side failures, each naming the open section.
+    [[noreturn]] void mismatch(std::uint64_t got, std::uint64_t want,
+                               const char *what) const;
+    [[noreturn]] void outOfRange(std::uint64_t v, std::uint64_t limit,
+                                 const char *what) const;
+    [[noreturn]] void outOfRange(std::int64_t v, std::int64_t lo,
+                                 std::int64_t hi, const char *what) const;
+    [[noreturn]] void fail(const char *what) const;
+
+    SnapshotWriter *w = nullptr;
+    SnapshotReader *r = nullptr;
+};
+
+/**
  * Section integrity checksum: XXH64 with seed 0 (the 64-bit xxHash
  * algorithm, implemented here). Four independent multiply-rotate
  * lanes consume 32-byte stripes, so the hash runs near memory
  * bandwidth instead of one serial multiply per byte; the ragged
  * tail folds 8, 4, then 1 byte at a time. It catches accidental
  * corruption, not crafted payloads — those are the job of the
- * restore-side range guards (SnapshotReader::bounded).
+ * restore-side range guards (SnapshotIo::bounded and friends).
  */
 std::uint64_t snapshotChecksum(const std::uint8_t *p, std::size_t n);
 

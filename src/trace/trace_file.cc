@@ -538,27 +538,14 @@ TraceReplayWorkload::nextBatch(TraceRecord *out, std::size_t n)
 }
 
 void
-TraceReplayWorkload::saveState(SnapshotWriter &w) const
+TraceReplayWorkload::serialize(SnapshotIo &io)
 {
-    w.u64(file->size());
-    w.u64(loopCount);
-    w.u64(pos);
-    w.u64(passesDone);
-}
-
-void
-TraceReplayWorkload::restoreState(SnapshotReader &r)
-{
-    r.expectU64(file->size(), "trace record count");
-    r.expectU64(loopCount, "trace loop count");
-    std::uint64_t new_pos = r.u64();
-    if (new_pos > file->size()) {
-        throw SnapshotError(r.currentSection(),
-                            "trace cursor past end of trace "
-                            "(corrupted snapshot)");
-    }
-    pos = static_cast<std::size_t>(new_pos);
-    passesDone = r.u64();
+    io.expectU64(file->size(), "trace record count");
+    io.expectU64(loopCount, "trace loop count");
+    io.u64(pos);
+    io.check(pos <= file->size(),
+             "trace cursor past end of trace (corrupted snapshot)");
+    io.u64(passesDone);
 }
 
 WorkloadSpec

@@ -182,10 +182,9 @@ class TraceReplayWorkload : public WorkloadGenerator
     TraceRecord next() override;
     std::size_t nextBatch(TraceRecord *out, std::size_t n) override;
 
-    /** Snapshot contract: replay cursor + pass count, guarded by
-     *  the trace's record count and loop configuration. */
-    void saveState(SnapshotWriter &w) const override;
-    void restoreState(SnapshotReader &r) override;
+    /** Snapshot walk: replay cursor + pass count, guarded by the
+     *  trace's record count and loop configuration. */
+    void serialize(SnapshotIo &io) override;
 
     const TraceFile &trace() const { return *file; }
     /** Configured pass count (0 = infinite). */

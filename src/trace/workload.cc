@@ -105,7 +105,6 @@ inline Addr
 SyntheticWorkload::patternAddr(const PhaseParams &p, PhaseState &st,
                                bool &depends_on_prev)
 {
-    static_assert(P >= 0, "use nextDataAddr for runtime dispatch");
     constexpr Pattern kPat = static_cast<Pattern>(P);
     depends_on_prev = false;
 
@@ -204,37 +203,6 @@ SyntheticWorkload::patternAddr(const PhaseParams &p, PhaseState &st,
     }
 }
 
-Addr
-SyntheticWorkload::nextDataAddr(const PhaseParams &p, PhaseState &st,
-                                bool &depends_on_prev)
-{
-    switch (p.pattern) {
-      case Pattern::kStream:
-        return patternAddr<static_cast<int>(Pattern::kStream)>(
-            p, st, depends_on_prev);
-      case Pattern::kStride:
-        return patternAddr<static_cast<int>(Pattern::kStride)>(
-            p, st, depends_on_prev);
-      case Pattern::kChase:
-        return patternAddr<static_cast<int>(Pattern::kChase)>(
-            p, st, depends_on_prev);
-      case Pattern::kIrregular:
-        return patternAddr<static_cast<int>(Pattern::kIrregular)>(
-            p, st, depends_on_prev);
-      case Pattern::kGraph:
-        return patternAddr<static_cast<int>(Pattern::kGraph)>(
-            p, st, depends_on_prev);
-      case Pattern::kCompute:
-        return patternAddr<static_cast<int>(Pattern::kCompute)>(
-            p, st, depends_on_prev);
-      case Pattern::kRegionSpatial:
-        return patternAddr<static_cast<int>(
-            Pattern::kRegionSpatial)>(p, st, depends_on_prev);
-    }
-    depends_on_prev = false;
-    return st.base;
-}
-
 template <int P>
 inline void
 SyntheticWorkload::emitOne(const PhaseParams &p, PhaseState &st,
@@ -250,10 +218,7 @@ SyntheticWorkload::emitOne(const PhaseParams &p, PhaseState &st,
     if (roll < st.tLoad) {
         rec.kind = InstrKind::kLoad;
         rec.taken = false;
-        if constexpr (P == kGenericPattern)
-            rec.addr = nextDataAddr(p, st, rec.dependsOnPrevLoad);
-        else
-            rec.addr = patternAddr<P>(p, st, rec.dependsOnPrevLoad);
+        rec.addr = patternAddr<P>(p, st, rec.dependsOnPrevLoad);
         rec.criticalConsumer = rng.chanceT(st.tCritical);
         // Conditional wrap instead of a per-load 64-bit modulo;
         // pcRotor < loadPcs is invariant, so the result is the same.
@@ -266,10 +231,7 @@ SyntheticWorkload::emitOne(const PhaseParams &p, PhaseState &st,
         rec.dependsOnPrevLoad = false;
         rec.criticalConsumer = false;
         bool dep = false;
-        if constexpr (P == kGenericPattern)
-            rec.addr = nextDataAddr(p, st, dep);
-        else
-            rec.addr = patternAddr<P>(p, st, dep);
+        rec.addr = patternAddr<P>(p, st, dep);
         rec.pc = 0x500000 + pc_region;
     } else if (roll < st.tLSB) {
         rec.kind = InstrKind::kBranch;
@@ -308,16 +270,8 @@ SyntheticWorkload::emitRun(const PhaseParams &p, PhaseState &st,
 TraceRecord
 SyntheticWorkload::next()
 {
-    if (phaseInstrsLeft == 0)
-        enterPhase(phaseIndex + 1);
-    --phaseInstrsLeft;
-    ++globalInstr;
-
     TraceRecord rec;
-    emitOne<kGenericPattern>(spec.phases[phaseIndex],
-                             phaseStates[phaseIndex],
-                             (spec.seed << 20) ^ (phaseIndex << 12),
-                             rec);
+    nextBatch(&rec, 1);
     return rec;
 }
 
@@ -327,19 +281,16 @@ SyntheticWorkload::nextBatch(TraceRecord *out, std::size_t n)
     // Chunk by phase boundary so the phase lookups, the pc_region
     // computation, the per-instruction counters, and — through the
     // per-pattern emitRun instantiations — the pattern dispatch all
-    // hoist out of the inner loop. Record-for-record identical to
-    // next().
+    // hoist out of the inner loop. next() is a one-record batch.
     std::size_t filled = 0;
     while (filled < n) {
         if (phaseInstrsLeft == 0)
             enterPhase(phaseIndex + 1);
         std::size_t run = n - filled;
         if (phaseInstrsLeft == 0) {
-            // Degenerate zero-instruction phase: next() decrements
-            // the counter through zero, so the phase behaves as if
-            // it had 2^64 instructions — mirror that wrap exactly
-            // rather than skipping ahead (the two APIs must emit
-            // identical streams for any spec).
+            // Degenerate zero-instruction phase: the counter wraps
+            // through zero, so the phase behaves as if it had 2^64
+            // instructions (any batch size emits the same stream).
             phaseInstrsLeft -= run;
         } else {
             if (run > phaseInstrsLeft)
@@ -382,9 +333,6 @@ SyntheticWorkload::nextBatch(TraceRecord *out, std::size_t n)
             emitRun<static_cast<int>(Pattern::kRegionSpatial)>(
                 p, st, pc_region, dst, run);
             break;
-          default:
-            emitRun<kGenericPattern>(p, st, pc_region, dst, run);
-            break;
         }
         filled += run;
     }
@@ -392,53 +340,30 @@ SyntheticWorkload::nextBatch(TraceRecord *out, std::size_t n)
 }
 
 void
-SyntheticWorkload::saveState(SnapshotWriter &w) const
-{
-    w.u64(phaseStates.size());
-    w.u64(rng.rawState());
-    w.u64(phaseIndex);
-    w.u64(phaseInstrsLeft);
-    w.u64(globalInstr);
-    for (const PhaseState &st : phaseStates) {
-        w.u64(st.cursor);
-        w.u64(st.chasePtr);
-        w.boolean(st.inScan);
-        w.u32(st.burstLeft);
-        w.u64(st.scanCursor);
-        w.u64(st.regionBase);
-        w.u32(st.regionStep);
-        w.u64(st.regionPattern);
-        w.u32(st.pcRotor);
-    }
-}
-
-void
-SyntheticWorkload::restoreState(SnapshotReader &r)
+SyntheticWorkload::serialize(SnapshotIo &io)
 {
     // Rebuild the derived per-phase state (region bases, reducers,
     // thresholds, zipf tables) from the spec, then overwrite the
     // mutable cursors with the snapshotted values.
-    reset();
-    r.expectU64(phaseStates.size(), "workload phase count");
-    rng.setRawState(r.u64());
-    phaseIndex = r.u64();
-    if (phaseIndex >= phaseStates.size()) {
-        throw SnapshotError(r.currentSection(),
-                            "workload phase index out of range "
-                            "(corrupted snapshot)");
-    }
-    phaseInstrsLeft = r.u64();
-    globalInstr = r.u64();
+    if (io.loading())
+        reset();
+    io.expectU64(phaseStates.size(), "workload phase count");
+    rng.serialize(io);
+    io.u64(phaseIndex);
+    io.check(phaseIndex < phaseStates.size(),
+             "workload phase index out of range (corrupted snapshot)");
+    io.u64(phaseInstrsLeft);
+    io.u64(globalInstr);
     for (PhaseState &st : phaseStates) {
-        st.cursor = r.u64();
-        st.chasePtr = r.u64();
-        st.inScan = r.boolean();
-        st.burstLeft = r.u32();
-        st.scanCursor = r.u64();
-        st.regionBase = r.u64();
-        st.regionStep = r.u32();
-        st.regionPattern = r.u64();
-        st.pcRotor = r.u32();
+        io.u64(st.cursor);
+        io.u64(st.chasePtr);
+        io.boolean(st.inScan);
+        io.u32(st.burstLeft);
+        io.u64(st.scanCursor);
+        io.u64(st.regionBase);
+        io.u32(st.regionStep);
+        io.u64(st.regionPattern);
+        io.u32(st.pcRotor);
     }
 }
 

@@ -31,8 +31,7 @@
 namespace athena
 {
 
-class SnapshotReader;
-class SnapshotWriter;
+class SnapshotIo;
 
 /** Instruction classes the timing model distinguishes. */
 enum class InstrKind : std::uint8_t
@@ -131,13 +130,12 @@ class WorkloadGenerator
     }
 
     /**
-     * Snapshot contract: serialize the stream cursor so a restored
-     * generator resumes emitting the exact record sequence a
-     * straight-through run would see. The default is a no-op for
-     * stateless generators; every stateful generator overrides both.
+     * Snapshot walk: the stream cursor, so a restored generator
+     * resumes emitting the exact record sequence a straight-through
+     * run would see. The default is a no-op for stateless
+     * generators; every stateful generator overrides it.
      */
-    virtual void saveState(SnapshotWriter &) const {}
-    virtual void restoreState(SnapshotReader &) {}
+    virtual void serialize(SnapshotIo &) {}
 };
 
 /** Memory access pattern of a workload phase. */
@@ -240,11 +238,10 @@ class SyntheticWorkload : public WorkloadGenerator
     TraceRecord next() override;
     std::size_t nextBatch(TraceRecord *out, std::size_t n) override;
 
-    /** Snapshot contract: RNG state, phase cursor, and the mutable
+    /** Snapshot walk: RNG state, phase cursor, and the mutable
      *  per-phase pattern cursors; derived reducers, thresholds and
      *  zipf tables are rebuilt from the spec. */
-    void saveState(SnapshotWriter &w) const override;
-    void restoreState(SnapshotReader &r) override;
+    void serialize(SnapshotIo &io) override;
 
     const WorkloadSpec &workloadSpec() const { return spec; }
 
@@ -293,14 +290,6 @@ class SyntheticWorkload : public WorkloadGenerator
     void enterPhase(std::size_t index);
 
     /**
-     * Template parameter selecting the runtime-dispatch pattern
-     * kernel — the compatibility shim next() uses; nextBatch()
-     * instead instantiates one emitRun per concrete Pattern so the
-     * per-access pattern switch hoists out of the batch loop.
-     */
-    static constexpr int kGenericPattern = -1;
-
-    /**
      * Produce the next data address of phase (p, st) with the
      * pattern fixed at compile time (P = static_cast<int>(Pattern)).
      */
@@ -308,14 +297,10 @@ class SyntheticWorkload : public WorkloadGenerator
     Addr patternAddr(const PhaseParams &p, PhaseState &st,
                      bool &depends_on_prev);
 
-    /** Runtime-dispatch shim over the patternAddr kernels. */
-    Addr nextDataAddr(const PhaseParams &p, PhaseState &st,
-                      bool &depends_on_prev);
-
     /**
      * Emit one record of phase (p, st): the kind roll plus all
-     * record fields, the shared kernel of next() and nextBatch().
-     * The callers own the phase-boundary bookkeeping.
+     * record fields. The caller (emitRun) owns the phase-boundary
+     * bookkeeping.
      */
     template <int P>
     void emitOne(const PhaseParams &p, PhaseState &st,

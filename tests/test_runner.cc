@@ -301,9 +301,9 @@ TEST(ParallelFor, RethrowsFirstExceptionAfterJoin)
 
 TEST(ParallelFor, NestedCallsRunInlineWithoutDeadlock)
 {
-    // A parallelFor issued from inside a pool worker must complete
-    // (it runs serially inline on that worker) and still cover
-    // every index exactly once.
+    // A parallelFor issued from inside a running index must complete
+    // (it runs serially inline on the thread that drains the outer
+    // call) and still cover every index exactly once.
     const std::size_t outer = 6, inner = 17;
     std::vector<std::atomic<int>> hits(outer * inner);
     parallelFor(outer, [&](std::size_t i) {
@@ -317,8 +317,8 @@ TEST(ParallelFor, NestedCallsRunInlineWithoutDeadlock)
 
 TEST(ParallelFor, SequentialCallsSeeAllPriorWrites)
 {
-    // The completion handshake must publish worker writes to the
-    // caller before run() returns.
+    // Joining the helper threads must publish their writes to the
+    // caller before parallelFor returns.
     std::vector<int> data(1000, 0);
     parallelFor(data.size(), [&](std::size_t i) {
         data[i] = static_cast<int>(i) + 1;
@@ -349,8 +349,8 @@ TEST_F(RunnerTest, ConcurrentWarmBaselineReadsAreSharedLockFast)
 TEST(ParallelFor, ManyMoreIndicesThanThreads)
 {
     // Work-stealing via the shared atomic counter must cover a range
-    // far larger than the pool exactly once, and the call must not
-    // return before every index ran.
+    // far larger than the thread count exactly once, and the call
+    // must not return before every index ran.
     const std::size_t n = 10007;
     std::vector<std::atomic<int>> hits(n);
     std::atomic<std::size_t> done{0};
