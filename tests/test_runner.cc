@@ -20,7 +20,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/hashing.hh"
 #include "sim/runner.hh"
+#include "sim/system_config.hh"
+#include "trace/trace_file.hh"
+#include "trace/zoo.hh"
 
 namespace athena
 {
@@ -361,6 +365,76 @@ TEST(ParallelFor, ManyMoreIndicesThanThreads)
     EXPECT_EQ(done.load(), n);
     for (const auto &h : hits)
         ASSERT_EQ(h.load(), 1);
+}
+
+// The runner's caches (in memory and ATHENA_SNAPSHOT_DIR file names)
+// are keyed by configKey() and workloadKey(). Any change to either
+// hash orphans every cached snapshot and baseline, so the values are
+// pinned here for every design x policy and every zoo spec.
+TEST(CacheKeys, ConfigKeysArePinned)
+{
+    static const std::uint64_t kPinned[4][8] = {
+        {0xa6f656f5ec6fc178ull, 0x5bfba5e19ae46269ull,
+         0x108faf24c264caeaull, 0x50abcc0514231d83ull,
+         0x6d4a5d308a87557cull, 0x425e49f7975f09c8ull,
+         0x3cca970265053e88ull, 0x4d78210d4bbf6029ull},
+        {0x836f17f17a59f2ceull, 0x31dd2239bc043df7ull,
+         0xe05886a7769644dcull, 0xb75067ab414d08bdull,
+         0xb2f966b5237e93caull, 0x16c2767d7176d6ceull,
+         0xccb6b70ebbf4fb72ull, 0x01ddab2be9c93f8bull},
+        {0x963a59aa1a570ee0ull, 0x4863d7aa9e65b291ull,
+         0xa519ff93662bc6d2ull, 0x6e50e344babe610bull,
+         0x7ff5123f85226524ull, 0x74ec6b0dfbe60e00ull,
+         0x75160050ffd105c0ull, 0xdbb99c78d01cdcb1ull},
+        {0xf9d43b624d9a7e83ull, 0xb9b81e81fbdc2beaull,
+         0x0524153ed45bc369ull, 0x501ec65325e72278ull,
+         0xdc35e1258ef7db97ull, 0xf647ea347853eca7ull,
+         0xec61268205b8cea3ull, 0xc9b86c690b219742ull},
+    };
+    for (unsigned d = 0; d < 4; ++d) {
+        for (unsigned p = 0; p < 8; ++p) {
+            const auto design = static_cast<CacheDesign>(d);
+            const auto policy = static_cast<PolicyKind>(p);
+            EXPECT_EQ(makeDesignConfig(design, policy).configKey(),
+                      kPinned[d][p])
+                << cacheDesignName(design) << " x "
+                << policyKindName(policy);
+        }
+    }
+}
+
+TEST(CacheKeys, WorkloadKeysArePinned)
+{
+    // One ordered digest per zoo list covers every spec's key (and
+    // with it every seed the zoo derives from a name); the first
+    // spec of each list is pinned on its own for a readable diff.
+    struct Row
+    {
+        std::vector<WorkloadSpec> list;
+        std::size_t size;
+        std::uint64_t firstKey;
+        std::uint64_t digest;
+    };
+    const Row rows[] = {
+        {evalWorkloads(), 100, 0xc1250be14edf562bull,
+         0x3f3d7d3d67f9bd03ull},
+        {tuningWorkloads(), 20, 0xba343e27c6fc04c7ull,
+         0xfb294940c3cea424ull},
+        {dpc4Workloads(), 24, 0xc938e051f01a76a1ull,
+         0xb7b68333abe5a90full},
+    };
+    for (const Row &row : rows) {
+        ASSERT_EQ(row.list.size(), row.size);
+        EXPECT_EQ(workloadKey(row.list.front()), row.firstKey)
+            << row.list.front().name;
+        std::uint64_t digest = 0;
+        for (const WorkloadSpec &spec : row.list)
+            digest = hashCombine(digest, workloadKey(spec));
+        EXPECT_EQ(digest, row.digest) << row.list.front().name;
+    }
+    EXPECT_EQ(workloadKey(traceWorkloadSpec(
+                  "sample_mix", "tests/data/sample_mix.bin", 3)),
+              0x128ef3fa88289128ull);
 }
 
 } // namespace
