@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 
 #include "common/hashing.hh"
 #include "snapshot/snapshot.hh"
@@ -26,6 +27,14 @@ constexpr unsigned kMemoMaxStateBits = 16;
 
 QVStore::QVStore(const QVStoreParams &params) : cfg(params)
 {
+    // rowOf() reduces modulo rows and argmax() starts at the last
+    // action, so neither may be 0.
+    if (cfg.rows == 0)
+        throw std::invalid_argument("QVStoreParams::rows must be >= 1");
+    if (cfg.actions == 0) {
+        throw std::invalid_argument(
+            "QVStoreParams::actions must be >= 1");
+    }
     unsigned state_bits = cfg.stateFields * cfg.bitsPerField;
     if (cfg.memoizeRows && state_bits <= kMemoMaxStateBits)
         memoStates = 1u << state_bits;

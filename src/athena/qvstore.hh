@@ -12,8 +12,8 @@
  *
  * Table 4 geometry: 8 planes x 64 rows x 4 actions, 8-bit entries
  * (2 KB). Entries here are s3.4 fixed point when quantized mode is
- * on (the default, matching the storage claim) or double-precision
- * when off (used by tests to bound the quantization error).
+ * on (matching the storage claim) or double-precision when off (the
+ * default; tests use both to bound the quantization error).
  */
 
 #ifndef ATHENA_ATHENA_QVSTORE_HH

@@ -1,7 +1,8 @@
 /**
  * @file
  * Hash mixers used by the QVStore planes, Bloom filters, perceptron
- * feature indices, and set-index computations.
+ * feature indices, and set-index computations, and the FNV-1a
+ * accumulator behind the experiment caches' content keys.
  *
  * All hashes are deterministic pure functions so that hardware tables
  * indexed by them behave identically across runs.
@@ -10,7 +11,10 @@
 #ifndef ATHENA_COMMON_HASHING_HH
 #define ATHENA_COMMON_HASHING_HH
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <string_view>
 
 namespace athena
 {
@@ -56,6 +60,44 @@ foldTo(std::uint64_t x, unsigned bits)
     }
     return r;
 }
+
+/**
+ * FNV-1a, one byte at a time, over little-endian words: the content
+ * hash of SystemConfig::configKey and workloadKey. Starts from the
+ * FNV offset basis unless constructed from another value.
+ */
+struct Fnv1a
+{
+    static constexpr std::uint64_t kOffsetBasis = 0xcbf29ce484222325ull;
+    static constexpr std::uint64_t kPrime = 0x100000001b3ull;
+
+    std::uint64_t h = kOffsetBasis;
+
+    void
+    bytes(const void *p, std::size_t n)
+    {
+        const auto *b = static_cast<const unsigned char *>(p);
+        for (std::size_t i = 0; i < n; ++i)
+            h = (h ^ b[i]) * kPrime;
+    }
+
+    void
+    u64(std::uint64_t v)
+    {
+        for (unsigned i = 0; i < 8; ++i)
+            h = (h ^ ((v >> (8 * i)) & 0xff)) * kPrime;
+    }
+
+    void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+
+    /** Length-prefixed, so ("ab", "c") and ("a", "bc") differ. */
+    void
+    str(std::string_view s)
+    {
+        u64(s.size());
+        bytes(s.data(), s.size());
+    }
+};
 
 } // namespace athena
 

@@ -216,9 +216,8 @@ Cache::serialize(SnapshotIo &io)
 }
 
 BankedLlc::BankedLlc(const CacheParams &total_params,
-                     unsigned bank_count, bool force_division)
-    : total(total_params), decode(bank_count ? bank_count : 1,
-                                  force_division)
+                     unsigned bank_count)
+    : total(total_params), decode(bank_count ? bank_count : 1)
 {
     assert(bank_count >= 1);
     CacheParams per_bank = total_params;
@@ -226,42 +225,6 @@ BankedLlc::BankedLlc(const CacheParams &total_params,
     banks.reserve(decode.count());
     for (std::uint64_t b = 0; b < decode.count(); ++b)
         banks.emplace_back(per_bank);
-}
-
-std::uint64_t
-BankedLlc::statHits() const
-{
-    std::uint64_t s = 0;
-    for (const Cache &b : banks)
-        s += b.statHits;
-    return s;
-}
-
-std::uint64_t
-BankedLlc::statMisses() const
-{
-    std::uint64_t s = 0;
-    for (const Cache &b : banks)
-        s += b.statMisses;
-    return s;
-}
-
-std::uint64_t
-BankedLlc::statPrefetchFills() const
-{
-    std::uint64_t s = 0;
-    for (const Cache &b : banks)
-        s += b.statPrefetchFills;
-    return s;
-}
-
-std::uint64_t
-BankedLlc::statUnusedPrefetchEvictions() const
-{
-    std::uint64_t s = 0;
-    for (const Cache &b : banks)
-        s += b.statUnusedPrefetchEvictions;
-    return s;
 }
 
 } // namespace athena

@@ -300,8 +300,7 @@ struct BankedRef
 class BankedLlc
 {
   public:
-    BankedLlc(const CacheParams &total, unsigned bank_count,
-              bool force_division = false);
+    BankedLlc(const CacheParams &total, unsigned bank_count);
 
     unsigned bankCount() const
     {
@@ -358,14 +357,6 @@ class BankedLlc
 
     /** Total-LLC parameters (capacity, latency) as configured. */
     const CacheParams &params() const { return total; }
-
-    // Aggregated statistics (sum over banks; each global line maps
-    // to exactly one bank, so the sums equal the monolithic
-    // counters).
-    std::uint64_t statHits() const;
-    std::uint64_t statMisses() const;
-    std::uint64_t statPrefetchFills() const;
-    std::uint64_t statUnusedPrefetchEvictions() const;
 
   private:
     CacheParams total;

@@ -6,6 +6,8 @@
 #include "ocp/ocp.hh"
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "ocp/hmp.hh"
 #include "ocp/popet.hh"
@@ -81,7 +83,9 @@ makeOcp(OcpKind kind)
       case OcpKind::kTtp:
         return std::make_unique<TtpPredictor>();
     }
-    return nullptr;
+    throw std::invalid_argument(
+        "makeOcp: unknown OcpKind " +
+        std::to_string(static_cast<unsigned>(kind)));
 }
 
 } // namespace athena

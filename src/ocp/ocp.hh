@@ -94,7 +94,8 @@ class OffChipPredictor
 
 const char *ocpKindName(OcpKind kind);
 
-/** Factory. kNone returns nullptr. */
+/** Factory. kNone returns nullptr; a value outside the enum throws
+ *  std::invalid_argument. */
 std::unique_ptr<OffChipPredictor> makeOcp(OcpKind kind);
 
 } // namespace athena

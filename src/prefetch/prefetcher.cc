@@ -7,6 +7,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "snapshot/snapshot.hh"
 
@@ -117,7 +119,9 @@ makePrefetcher(PrefetcherKind kind, std::uint64_t seed,
       case PrefetcherKind::kSms:
         return std::make_unique<SmsPrefetcher>();
     }
-    return nullptr;
+    throw std::invalid_argument(
+        "makePrefetcher: unknown PrefetcherKind " +
+        std::to_string(static_cast<unsigned>(kind)));
 }
 
 } // namespace athena

@@ -224,7 +224,8 @@ class Prefetcher
 const char *prefetcherKindName(PrefetcherKind kind);
 
 /**
- * Factory. kNone returns nullptr. @p level is honored by the
+ * Factory. kNone returns nullptr; a value outside the enum throws
+ * std::invalid_argument. @p level is honored by the
  * level-flexible prefetchers (next-line, stride); the published
  * designs (IPCP/Berti at L1D, the rest at L2C) keep their fixed
  * level.

@@ -5,10 +5,10 @@
  * prefetchers, the off-chip predictor, and the coordination policy
  * into a runnable single- or multi-core system.
  *
- * This is the substitution for ChampSim (DESIGN.md section 3): a
- * cycle-approximate model that preserves the three first-order
- * effects the paper's results hinge on — prediction accuracy, DRAM
- * bandwidth occupancy, and the on-chip/off-chip latency split.
+ * This is the substitution for ChampSim: a cycle-approximate model
+ * that preserves the three first-order effects the paper's results
+ * hinge on — prediction accuracy, DRAM bandwidth occupancy, and the
+ * on-chip/off-chip latency split.
  */
 
 #ifndef ATHENA_SIM_SIMULATOR_HH

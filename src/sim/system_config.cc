@@ -7,6 +7,8 @@
 
 #include <cstdint>
 
+#include "common/hashing.hh"
+
 namespace athena
 {
 
@@ -35,39 +37,10 @@ SystemConfig::numPrefetchers() const
     return n;
 }
 
-namespace
-{
-
-/** FNV-1a accumulator for the config content hash. */
-struct ConfigHash
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-
-    void
-    u64(std::uint64_t v)
-    {
-        for (unsigned i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 0x100000001b3ull;
-        }
-    }
-
-    void
-    f64(double v)
-    {
-        std::uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(v));
-        __builtin_memcpy(&bits, &v, sizeof(bits));
-        u64(bits);
-    }
-};
-
-} // namespace
-
 std::uint64_t
 SystemConfig::configKey() const
 {
-    ConfigHash h;
+    Fnv1a h;
     h.u64(static_cast<std::uint64_t>(l1dPf));
     h.u64(static_cast<std::uint64_t>(l2cPf));
     h.u64(static_cast<std::uint64_t>(l2cPf2));

@@ -9,14 +9,6 @@
 #include <cstdio>
 #include <cstring>
 
-#ifdef __unix__
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#define ATHENA_SNAPSHOT_HAVE_MMAP 1
-#endif
-
 namespace athena
 {
 
@@ -56,6 +48,17 @@ saturatingBytes(std::uint64_t n, std::size_t width)
 {
     return n > SIZE_MAX / width ? SIZE_MAX
                                 : static_cast<std::size_t>(n) * width;
+}
+
+/** The bytes of snapshot @p path; a failure is a SnapshotError. */
+MappedFile
+mapSnapshot(const std::string &path)
+{
+    try {
+        return MappedFile(path);
+    } catch (const std::runtime_error &e) {
+        throw SnapshotError("", std::string("snapshot: ") + e.what());
+    }
 }
 
 } // namespace
@@ -212,80 +215,22 @@ SnapshotWriter::writeFile(const std::string &path) const
 // ---------------------------------------------------------------
 
 SnapshotReader::SnapshotReader(const std::string &path)
+    : file(mapSnapshot(path))
 {
-#ifdef ATHENA_SNAPSHOT_HAVE_MMAP
-    int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0)
-        throw SnapshotError("", "cannot open snapshot '" + path + "'");
-    struct stat st;
-    if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-        ::close(fd);
-        throw SnapshotError("", "cannot stat snapshot '" + path + "'");
-    }
-    mapLen = static_cast<std::size_t>(st.st_size);
-    void *base = mapLen == 0
-                     ? MAP_FAILED
-                     : ::mmap(nullptr, mapLen, PROT_READ, MAP_PRIVATE,
-                              fd, 0);
-    if (base != MAP_FAILED) {
-        mapBase = base;
-        data = static_cast<const std::uint8_t *>(base);
-        size = mapLen;
-        ::close(fd);
-    } else {
-        // Read fallback (e.g. filesystems without mmap support).
-        owned.resize(mapLen);
-        std::size_t got = 0;
-        while (got < mapLen) {
-            ssize_t n = ::read(fd, owned.data() + got, mapLen - got);
-            if (n <= 0)
-                break;
-            got += static_cast<std::size_t>(n);
-        }
-        ::close(fd);
-        mapLen = 0;
-        if (got != owned.size())
-            throw SnapshotError("", "short read of '" + path + "'");
-        data = owned.data();
-        size = owned.size();
-    }
-#else
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        throw SnapshotError("", "cannot open snapshot '" + path + "'");
-    std::fseek(f, 0, SEEK_END);
-    long len = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    owned.resize(len > 0 ? static_cast<std::size_t>(len) : 0);
-    std::size_t got = std::fread(owned.data(), 1, owned.size(), f);
-    std::fclose(f);
-    if (got != owned.size())
-        throw SnapshotError("", "short read of '" + path + "'");
-    data = owned.data();
-    size = owned.size();
-#endif
     parse();
 }
 
 SnapshotReader::SnapshotReader(std::vector<std::uint8_t> buffer)
-    : owned(std::move(buffer))
+    : file(std::move(buffer))
 {
-    data = owned.data();
-    size = owned.size();
     parse();
-}
-
-SnapshotReader::~SnapshotReader()
-{
-#ifdef ATHENA_SNAPSHOT_HAVE_MMAP
-    if (mapBase)
-        ::munmap(mapBase, mapLen);
-#endif
 }
 
 void
 SnapshotReader::parse()
 {
+    const std::uint8_t *const data = file.data();
+    const std::size_t size = file.size();
     if (size < kHeaderBytes)
         throw SnapshotError("", "truncated snapshot header");
     if (std::memcmp(data, kSnapshotMagic, 4) != 0)
@@ -342,7 +287,7 @@ SnapshotReader::openSection(const std::string &tag)
         throw SnapshotError(tag, "missing section");
     if (!e->verified) {
         std::uint64_t sum =
-            snapshotChecksum(data + e->offset, e->length);
+            snapshotChecksum(file.data() + e->offset, e->length);
         if (sum != e->checksum)
             throw SnapshotError(tag, "checksum mismatch (corrupted "
                                      "snapshot)");
@@ -367,7 +312,7 @@ SnapshotReader::u64Array(std::uint64_t *p, std::size_t n)
 {
     if (n > remaining() / 8)
         underflow(saturatingBytes(n, 8));
-    const std::uint8_t *in = data + cursor;
+    const std::uint8_t *in = file.data() + cursor;
     for (std::size_t i = 0; i < n; ++i)
         p[i] = loadLe64(in + 8 * i);
     cursor += n * 8;

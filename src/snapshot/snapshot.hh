@@ -15,8 +15,8 @@
  *              u64 length; u64 checksum }
  *              payload sections (offsets are absolute)
  *
- * SnapshotWriter accumulates named sections; SnapshotReader maps
- * the file read-only (buffered read fallback), verifies a
+ * SnapshotWriter accumulates named sections; SnapshotReader reads
+ * the file through one MappedFile (common/bytes.hh), verifies a
  * per-section XXH64 checksum (see snapshotChecksum) when a section
  * is opened, and bounds-checks every read against the section
  * extent. Bulk arrays (u64Array, block) take one bounds check per
@@ -55,6 +55,8 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.hh"
+
 namespace athena
 {
 
@@ -73,25 +75,6 @@ constexpr std::uint16_t kSnapshotVersion = 5;
 constexpr std::size_t kSnapshotTagBytes = 24;
 /** Snapshot file magic. */
 constexpr char kSnapshotMagic[4] = {'A', 'S', 'N', 'P'};
-
-/** Little-endian u64 at an unaligned address (the field encoding). */
-inline std::uint64_t
-loadLe64(const std::uint8_t *p)
-{
-    std::uint64_t v;
-    std::memcpy(&v, p, sizeof(v));
-    if constexpr (std::endian::native == std::endian::big)
-        v = __builtin_bswap64(v);
-    return v;
-}
-
-inline void
-storeLe64(std::uint8_t *p, std::uint64_t v)
-{
-    if constexpr (std::endian::native == std::endian::big)
-        v = __builtin_bswap64(v);
-    std::memcpy(p, &v, sizeof(v));
-}
 
 /**
  * Typed snapshot failure: every load/validation error names the
@@ -115,37 +98,6 @@ class SnapshotError : public std::runtime_error
   private:
     std::string tag;
 };
-
-/** Little-endian u16 / u32 at an unaligned address. */
-template <class T>
-inline T
-loadLe(const std::uint8_t *p)
-{
-    static_assert(sizeof(T) == 2 || sizeof(T) == 4, "u16 or u32");
-    T v;
-    std::memcpy(&v, p, sizeof(v));
-    if constexpr (std::endian::native == std::endian::big) {
-        if constexpr (sizeof(T) == 2)
-            v = __builtin_bswap16(v);
-        else
-            v = __builtin_bswap32(v);
-    }
-    return v;
-}
-
-template <class T>
-inline void
-storeLe(std::uint8_t *p, T v)
-{
-    static_assert(sizeof(T) == 2 || sizeof(T) == 4, "u16 or u32");
-    if constexpr (std::endian::native == std::endian::big) {
-        if constexpr (sizeof(T) == 2)
-            v = __builtin_bswap16(v);
-        else
-            v = __builtin_bswap32(v);
-    }
-    std::memcpy(p, &v, sizeof(v));
-}
 
 /**
  * Accumulates named sections of little-endian fixed-width fields
@@ -208,8 +160,9 @@ class SnapshotWriter
 };
 
 /**
- * Loads a snapshot file (mmap with buffered-read fallback) and
- * serves bounds-checked primitive reads from named sections.
+ * Loads a snapshot file (a MappedFile: mapped, or read whole where
+ * mmap refuses) and serves bounds-checked primitive reads from
+ * named sections. The mapping is released with the reader.
  */
 class SnapshotReader
 {
@@ -218,7 +171,6 @@ class SnapshotReader
     explicit SnapshotReader(const std::string &path);
     /** In-memory snapshot (tests, benches). */
     explicit SnapshotReader(std::vector<std::uint8_t> buffer);
-    ~SnapshotReader();
 
     SnapshotReader(const SnapshotReader &) = delete;
     SnapshotReader &operator=(const SnapshotReader &) = delete;
@@ -253,7 +205,7 @@ class SnapshotReader
     {
         if (n > remaining())
             underflow(n);
-        const std::uint8_t *p = data + cursor;
+        const std::uint8_t *p = file.data() + cursor;
         cursor += n;
         return p;
     }
@@ -278,15 +230,7 @@ class SnapshotReader
     /** Throw a truncation error for the open section. */
     [[noreturn]] void underflow(std::size_t need);
 
-    const std::uint8_t *data = nullptr;
-    std::size_t size = 0;
-
-    /** mmap bookkeeping; base null when not mapped. */
-    void *mapBase = nullptr;
-    std::size_t mapLen = 0;
-    /** Owned buffer (in-memory ctor or read fallback). */
-    std::vector<std::uint8_t> owned;
-
+    MappedFile file;
     std::vector<Entry> entries;
     std::string curTag;
     std::size_t cursor = 0;

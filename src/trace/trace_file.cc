@@ -7,24 +7,19 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 
+#include "common/bytes.hh"
 #include "snapshot/snapshot.hh"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define ATHENA_TRACE_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
 
 namespace athena
 {
@@ -41,26 +36,10 @@ constexpr unsigned kFlagCritical = 1u << 4;
 constexpr unsigned kKindMask = 0x3;
 
 void
-putLe64(unsigned char *out, std::uint64_t v)
+encodeRecord(const TraceRecord &rec, std::uint8_t *out)
 {
-    for (unsigned i = 0; i < 8; ++i)
-        out[i] = static_cast<unsigned char>(v >> (8 * i));
-}
-
-std::uint64_t
-getLe64(const unsigned char *in)
-{
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(in[i]) << (8 * i);
-    return v;
-}
-
-void
-encodeRecord(const TraceRecord &rec, unsigned char *out)
-{
-    putLe64(out, rec.pc);
-    putLe64(out + 8, rec.addr);
+    storeLe64(out, rec.pc);
+    storeLe64(out + 8, rec.addr);
     unsigned flags = static_cast<unsigned>(rec.kind) & kKindMask;
     if (rec.taken)
         flags |= kFlagTaken;
@@ -68,15 +47,15 @@ encodeRecord(const TraceRecord &rec, unsigned char *out)
         flags |= kFlagDepends;
     if (rec.criticalConsumer)
         flags |= kFlagCritical;
-    out[16] = static_cast<unsigned char>(flags);
+    out[16] = static_cast<std::uint8_t>(flags);
 }
 
 TraceRecord
-decodeRecord(const unsigned char *in)
+decodeRecord(const std::uint8_t *in)
 {
     TraceRecord rec;
-    rec.pc = getLe64(in);
-    rec.addr = getLe64(in + 8);
+    rec.pc = loadLe64(in);
+    rec.addr = loadLe64(in + 8);
     unsigned flags = in[16];
     rec.kind = static_cast<InstrKind>(flags & kKindMask);
     rec.taken = (flags & kFlagTaken) != 0;
@@ -85,68 +64,94 @@ decodeRecord(const unsigned char *in)
     return rec;
 }
 
+/** Decode @p n packed records starting at @p in. */
+void
+decodeRecords(const std::uint8_t *in, TraceRecord *out, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i, in += kTraceRecordBytes)
+        out[i] = decodeRecord(in);
+}
+
 [[noreturn]] void
-parseError(std::size_t line_no, const std::string &line,
+parseError(std::size_t line_no, std::string_view line,
            const std::string &what)
 {
-    std::ostringstream msg;
-    msg << "trace parse error at line " << line_no << ": " << what
-        << " (\"" << line << "\")";
-    throw std::runtime_error(msg.str());
+    throw std::runtime_error("trace parse error at line " +
+                             std::to_string(line_no) + ": " + what +
+                             " (\"" + std::string(line) + "\")");
+}
+
+/** The next whitespace-delimited token of @p line at or after
+ *  @p at; empty at end of line. */
+std::string_view
+nextToken(std::string_view line, std::size_t &at)
+{
+    const auto blank = [](char c) {
+        return std::isspace(static_cast<unsigned char>(c)) != 0;
+    };
+    while (at < line.size() && blank(line[at]))
+        ++at;
+    const std::size_t start = at;
+    while (at < line.size() && !blank(line[at]))
+        ++at;
+    return line.substr(start, at - start);
 }
 
 std::uint64_t
-parseHex(const std::string &tok, std::size_t line_no,
-         const std::string &line, const char *field)
+parseHex(std::string_view tok, std::size_t line_no,
+         std::string_view line, const char *field)
 {
-    // stoull would accept a sign prefix and wrap negatives into
-    // huge addresses; only bare hex digits (with optional 0x) are
-    // valid here.
-    if (tok.empty() || !std::isxdigit(
-                           static_cast<unsigned char>(tok[0]))) {
-        parseError(line_no, line,
-                   std::string("bad ") + field + " '" + tok + "'");
-    }
-    std::size_t used = 0;
+    // Bare hex digits with an optional 0x: no sign, which would
+    // wrap a negative into a huge address.
+    std::string_view digits = tok;
+    if (digits.size() > 2 && digits[0] == '0' &&
+        (digits[1] == 'x' || digits[1] == 'X'))
+        digits.remove_prefix(2);
     std::uint64_t v = 0;
-    try {
-        v = std::stoull(tok, &used, 16);
-    } catch (const std::exception &) {
+    const char *end = digits.data() + digits.size();
+    const auto [stop, ec] = std::from_chars(digits.data(), end, v, 16);
+    if (ec != std::errc()) {
         parseError(line_no, line,
-                   std::string("bad ") + field + " '" + tok + "'");
+                   std::string("bad ") + field + " '" +
+                       std::string(tok) + "'");
     }
-    if (used != tok.size())
+    if (stop != end) {
         parseError(line_no, line,
                    std::string("trailing junk in ") + field + " '" +
-                       tok + "'");
+                       std::string(tok) + "'");
+    }
     return v;
 }
 
 std::vector<TraceRecord>
-readTraceText(std::istream &is)
+parseText(std::string_view text)
 {
     std::vector<TraceRecord> recs;
-    std::string line;
     std::size_t line_no = 0;
-    while (std::getline(is, line)) {
+    for (std::size_t pos = 0; pos < text.size();) {
+        const std::size_t eol =
+            std::min(text.find('\n', pos), text.size());
+        const std::string_view line = text.substr(pos, eol - pos);
+        pos = eol + 1;
         ++line_no;
         // '#' comments run to end of line, whole-line or inline
         // ('#' never occurs inside a valid token).
-        std::istringstream ls(line.substr(0, line.find('#')));
-        std::string kind_tok;
-        if (!(ls >> kind_tok))
+        const std::string_view body = line.substr(0, line.find('#'));
+        std::size_t at = 0;
+        const std::string_view kind_tok = nextToken(body, at);
+        if (kind_tok.empty())
             continue;
         if (kind_tok.size() != 1)
             parseError(line_no, line,
-                       "bad kind '" + kind_tok + "'");
+                       "bad kind '" + std::string(kind_tok) + "'");
 
         TraceRecord rec;
-        std::string pc_tok;
-        if (!(ls >> pc_tok))
+        const std::string_view pc_tok = nextToken(body, at);
+        if (pc_tok.empty())
             parseError(line_no, line, "missing pc");
         rec.pc = parseHex(pc_tok, line_no, line, "pc");
 
-        std::string tok;
+        std::string_view tok;
         switch (kind_tok[0]) {
           case 'A':
           case 'a':
@@ -159,37 +164,40 @@ readTraceText(std::istream &is)
             rec.kind = (kind_tok[0] == 'L' || kind_tok[0] == 'l')
                            ? InstrKind::kLoad
                            : InstrKind::kStore;
-            if (!(ls >> tok))
+            tok = nextToken(body, at);
+            if (tok.empty())
                 parseError(line_no, line, "missing address");
             rec.addr = parseHex(tok, line_no, line, "address");
-            if (rec.kind == InstrKind::kLoad && (ls >> tok)) {
-                for (char c : tok) {
-                    if (c == 'd')
-                        rec.dependsOnPrevLoad = true;
-                    else if (c == 'c')
-                        rec.criticalConsumer = true;
-                    else
-                        parseError(line_no, line,
-                                   std::string("bad load flag '") +
-                                       c + "'");
-                }
+            if (rec.kind != InstrKind::kLoad)
+                break;
+            for (char c : nextToken(body, at)) {
+                if (c == 'd')
+                    rec.dependsOnPrevLoad = true;
+                else if (c == 'c')
+                    rec.criticalConsumer = true;
+                else
+                    parseError(line_no, line,
+                               std::string("bad load flag '") + c +
+                                   "'");
             }
             break;
           case 'B':
           case 'b':
             rec.kind = InstrKind::kBranch;
-            if (!(ls >> tok) || (tok != "T" && tok != "N"))
+            tok = nextToken(body, at);
+            if (tok != "T" && tok != "N")
                 parseError(line_no, line,
                            "branch outcome must be T or N");
             rec.taken = tok == "T";
             break;
           default:
             parseError(line_no, line,
-                       "bad kind '" + kind_tok + "'");
+                       "bad kind '" + std::string(kind_tok) + "'");
         }
-        if (ls >> tok)
+        tok = nextToken(body, at);
+        if (!tok.empty())
             parseError(line_no, line,
-                       "trailing junk '" + tok + "'");
+                       "trailing junk '" + std::string(tok) + "'");
         recs.push_back(rec);
     }
     return recs;
@@ -234,14 +242,14 @@ void
 writeTraceBinary(std::ostream &os, const TraceRecord *recs,
                  std::size_t n)
 {
-    unsigned char header[kTraceHeaderBytes] = {};
+    std::uint8_t header[kTraceHeaderBytes] = {};
     std::memcpy(header, kMagic, kTraceMagicBytes);
     header[4] = kTraceVersion;
-    header[5] = static_cast<unsigned char>(kTraceRecordBytes);
-    putLe64(header + 8, n);
+    header[5] = static_cast<std::uint8_t>(kTraceRecordBytes);
+    storeLe64(header + 8, n);
     os.write(reinterpret_cast<const char *>(header),
              kTraceHeaderBytes);
-    unsigned char buf[kTraceRecordBytes];
+    std::uint8_t buf[kTraceRecordBytes];
     for (std::size_t i = 0; i < n; ++i) {
         encodeRecord(recs[i], buf);
         os.write(reinterpret_cast<const char *>(buf),
@@ -249,9 +257,18 @@ writeTraceBinary(std::ostream &os, const TraceRecord *recs,
     }
 }
 
+/** True when @p data starts with the ATRC magic (binary), false
+ *  for a text trace. */
+bool
+isBinary(const std::uint8_t *data, std::size_t len)
+{
+    return len >= kTraceMagicBytes &&
+           std::memcmp(data, kMagic, kTraceMagicBytes) == 0;
+}
+
 /** Validate a binary header; returns the record count. */
 std::size_t
-checkBinaryHeader(const unsigned char *data, std::size_t len,
+checkBinaryHeader(const std::uint8_t *data, std::size_t len,
                   const std::string &what)
 {
     if (len < kTraceHeaderBytes)
@@ -266,7 +283,7 @@ checkBinaryHeader(const unsigned char *data, std::size_t len,
             what + ": unexpected record size " +
             std::to_string(data[5]));
     }
-    std::uint64_t n = getLe64(data + 8);
+    std::uint64_t n = loadLe64(data + 8);
     // Overflow-safe form of len < header + n * record: a huge
     // claimed count in a corrupt header must not wrap the product
     // and pass validation (copy() would then read far out of
@@ -276,6 +293,19 @@ checkBinaryHeader(const unsigned char *data, std::size_t len,
                                  ": trace shorter than its header "
                                  "claims");
     return static_cast<std::size_t>(n);
+}
+
+/** Every record of a whole trace image, either format; @p what
+ *  names the source in errors. */
+std::vector<TraceRecord>
+decodeTrace(const std::uint8_t *data, std::size_t len,
+            const std::string &what)
+{
+    if (!isBinary(data, len))
+        return parseText({reinterpret_cast<const char *>(data), len});
+    std::vector<TraceRecord> recs(checkBinaryHeader(data, len, what));
+    decodeRecords(data + kTraceHeaderBytes, recs.data(), recs.size());
+    return recs;
 }
 
 } // namespace
@@ -309,122 +339,31 @@ writeTraceFile(const std::string &path, const TraceRecord *recs,
 std::vector<TraceRecord>
 readTrace(std::istream &is)
 {
-    std::istream::pos_type start = is.tellg();
-    char magic[kTraceMagicBytes] = {};
-    is.read(magic, kTraceMagicBytes);
-    std::size_t got = static_cast<std::size_t>(is.gcount());
-    if (got == kTraceMagicBytes &&
-        std::memcmp(magic, kMagic, kTraceMagicBytes) == 0) {
-        // Binary: slurp the rest and decode.
-        std::vector<unsigned char> data(magic, magic + got);
-        char buf[4096];
-        while (is.read(buf, sizeof(buf)) || is.gcount() > 0) {
-            data.insert(data.end(), buf, buf + is.gcount());
-            if (!is)
-                break;
-        }
-        std::size_t n =
-            checkBinaryHeader(data.data(), data.size(), "stream");
-        std::vector<TraceRecord> recs;
-        recs.reserve(n);
-        const unsigned char *p = data.data() + kTraceHeaderBytes;
-        for (std::size_t i = 0; i < n; ++i, p += kTraceRecordBytes)
-            recs.push_back(decodeRecord(p));
-        return recs;
-    }
-    // Text: un-read the sniffed prefix (back to where the caller
-    // positioned the stream, not offset 0) and line-parse.
-    is.clear();
-    is.seekg(start == std::istream::pos_type(-1)
-                 ? std::istream::pos_type(0)
-                 : start);
-    if (!is) {
-        // Non-seekable stream: reconstruct via a buffer.
-        throw std::runtime_error(
-            "text trace stream must be seekable");
-    }
-    return readTraceText(is);
+    const std::vector<std::uint8_t> image(
+        (std::istreambuf_iterator<char>(is)),
+        std::istreambuf_iterator<char>());
+    return decodeTrace(image.data(), image.size(), "stream");
 }
 
 std::vector<TraceRecord>
 readTraceFile(const std::string &path)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        throw std::runtime_error("cannot open trace: " + path);
-    return readTrace(is);
+    const MappedFile file(path);
+    return decodeTrace(file.data(), file.size(), path);
 }
 
-TraceFile::TraceFile(const std::string &path) : source(path)
+TraceFile::TraceFile(const std::string &path)
+    : source(path), file(path)
 {
-    // Sniff the magic to pick the decode strategy.
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        throw std::runtime_error("cannot open trace: " + path);
-    char magic[kTraceMagicBytes] = {};
-    is.read(magic, kTraceMagicBytes);
-    bool binary =
-        static_cast<std::size_t>(is.gcount()) == kTraceMagicBytes &&
-        std::memcmp(magic, kMagic, kTraceMagicBytes) == 0;
-
-    if (!binary) {
-        fmt = TraceFormat::kText;
-        is.clear();
-        is.seekg(0);
-        records = readTraceText(is);
+    if (!isBinary(file.data(), file.size())) {
+        records = parseText(
+            {reinterpret_cast<const char *>(file.data()), file.size()});
         count = records.size();
         return;
     }
-
     fmt = TraceFormat::kBinary;
-    is.close();
-
-#ifdef ATHENA_TRACE_HAVE_MMAP
-    int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd >= 0) {
-        struct stat st;
-        if (::fstat(fd, &st) == 0 && st.st_size > 0) {
-            void *base =
-                ::mmap(nullptr, static_cast<std::size_t>(st.st_size),
-                       PROT_READ, MAP_PRIVATE, fd, 0);
-            if (base != MAP_FAILED) {
-                mapBase = base;
-                mapLen = static_cast<std::size_t>(st.st_size);
-            }
-        }
-        ::close(fd);
-    }
-#endif
-    if (mapBase == nullptr) {
-        // Portable fallback: buffered read of the whole file.
-        std::ifstream bin(path, std::ios::binary);
-        owned.assign(std::istreambuf_iterator<char>(bin),
-                     std::istreambuf_iterator<char>());
-    }
-    const unsigned char *data =
-        mapBase != nullptr
-            ? static_cast<const unsigned char *>(mapBase)
-            : owned.data();
-    std::size_t len = mapBase != nullptr ? mapLen : owned.size();
-    try {
-        count = checkBinaryHeader(data, len, path);
-    } catch (...) {
-#ifdef ATHENA_TRACE_HAVE_MMAP
-        if (mapBase != nullptr)
-            ::munmap(mapBase, mapLen);
-        mapBase = nullptr;
-#endif
-        throw;
-    }
-    packed = data + kTraceHeaderBytes;
-}
-
-TraceFile::~TraceFile()
-{
-#ifdef ATHENA_TRACE_HAVE_MMAP
-    if (mapBase != nullptr)
-        ::munmap(mapBase, mapLen);
-#endif
+    count = checkBinaryHeader(file.data(), file.size(), path);
+    packed = file.data() + kTraceHeaderBytes;
 }
 
 std::size_t
@@ -434,9 +373,7 @@ TraceFile::copy(std::size_t pos, TraceRecord *out, std::size_t n) const
         return 0;
     n = std::min(n, count - pos);
     if (packed != nullptr) {
-        const unsigned char *p = packed + pos * kTraceRecordBytes;
-        for (std::size_t i = 0; i < n; ++i, p += kTraceRecordBytes)
-            out[i] = decodeRecord(p);
+        decodeRecords(packed + pos * kTraceRecordBytes, out, n);
     } else {
         std::copy_n(records.begin() +
                         static_cast<std::ptrdiff_t>(pos),

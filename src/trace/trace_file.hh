@@ -48,6 +48,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.hh"
 #include "trace/workload.hh"
 
 namespace athena
@@ -83,24 +84,30 @@ writeTraceFile(const std::string &path,
 }
 
 /**
- * Parse an entire trace stream (format sniffed from the first
- * bytes: "ATRC" magic = binary, anything else = text). Throws
+ * Parse a trace stream from its current position to its end (the
+ * stream need not be seekable). The format is sniffed from the
+ * first bytes: "ATRC" magic = binary, anything else = text. Throws
  * std::runtime_error with a line/offset diagnostic on malformed
- * input.
+ * input. The same sniff, header check and decoders serve
+ * readTraceFile and TraceFile, so all three accept and reject the
+ * same bytes.
  */
 std::vector<TraceRecord> readTrace(std::istream &is);
 
-/** Parse an entire trace file into memory. */
+/** Parse an entire trace file into memory; throws
+ *  std::runtime_error when the path cannot be read (a directory,
+ *  say). */
 std::vector<TraceRecord> readTraceFile(const std::string &path);
 
 /**
  * An open trace, servable as TraceRecord batches.
  *
- * Binary files are mmap()ed read-only and decoded per copy() call
- * (falling back to a buffered read where mmap is unavailable); text
- * files are parsed once into a record vector. Immutable after
- * construction, so one TraceFile can back many concurrent replay
- * workloads (the fleet runner constructs one Simulator per thread).
+ * The file is opened once, as a MappedFile (mapped read-only, or
+ * read whole where mmap refuses). Binary records are decoded from
+ * the mapping per copy() call; a text trace is parsed once into a
+ * record vector. Immutable after construction, so one TraceFile can
+ * back many concurrent replay workloads (the fleet runner
+ * constructs one Simulator per thread).
  */
 class TraceFile
 {
@@ -108,7 +115,6 @@ class TraceFile
     /** Open and validate; throws std::runtime_error on malformed
      *  files. */
     explicit TraceFile(const std::string &path);
-    ~TraceFile();
 
     TraceFile(const TraceFile &) = delete;
     TraceFile &operator=(const TraceFile &) = delete;
@@ -134,19 +140,15 @@ class TraceFile
 
   private:
     std::string source;
+    MappedFile file;
     TraceFormat fmt = TraceFormat::kText;
     std::size_t count = 0;
 
-    /** Text path (and binary fallback): decoded records. */
+    /** Text path: decoded records. */
     std::vector<TraceRecord> records;
 
     /** Binary path: packed record bytes (past the header). */
-    const unsigned char *packed = nullptr;
-    /** mmap bookkeeping; base is null when not mapped. */
-    void *mapBase = nullptr;
-    std::size_t mapLen = 0;
-    /** Owned buffer when the binary file was read, not mapped. */
-    std::vector<unsigned char> owned;
+    const std::uint8_t *packed = nullptr;
 };
 
 /**
@@ -162,7 +164,7 @@ openTraceShared(const std::string &path);
 /**
  * Replays a TraceFile through the WorkloadGenerator contract.
  *
- * The trace is emitted loops() times end to end (loops == 0 loops
+ * The trace is emitted `loops` times end to end (loops == 0 loops
  * forever, turning any capture into an infinite stream for the
  * fixed-instruction benches); after the final pass nextBatch()
  * returns short, then 0 — the exhausted-stream signal the stepping
@@ -187,8 +189,6 @@ class TraceReplayWorkload : public WorkloadGenerator
     void serialize(SnapshotIo &io) override;
 
     const TraceFile &trace() const { return *file; }
-    /** Configured pass count (0 = infinite). */
-    std::uint64_t loops() const { return loopCount; }
     /** Total records this stream will emit (0 when infinite). */
     std::uint64_t totalRecords() const
     {

@@ -377,48 +377,10 @@ makeWorkload(const WorkloadSpec &spec)
     return std::make_unique<SyntheticWorkload>(spec);
 }
 
-namespace
-{
-
-/** FNV-1a accumulator for the spec content hash. */
-struct SpecHash
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-
-    void
-    bytes(const void *p, std::size_t n)
-    {
-        const unsigned char *b = static_cast<const unsigned char *>(p);
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= b[i];
-            h *= 0x100000001b3ull;
-        }
-    }
-
-    void u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
-
-    void
-    f64(double v)
-    {
-        std::uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(v));
-        __builtin_memcpy(&bits, &v, sizeof(bits));
-        u64(bits);
-    }
-
-    void str(const std::string &s)
-    {
-        u64(s.size());
-        bytes(s.data(), s.size());
-    }
-};
-
-} // namespace
-
 std::uint64_t
 workloadKey(const WorkloadSpec &spec)
 {
-    SpecHash h;
+    Fnv1a h;
     h.str(spec.name);
     h.u64(static_cast<std::uint64_t>(spec.suite));
     h.u64(spec.seed);

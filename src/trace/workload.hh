@@ -10,8 +10,7 @@
  * (prefetcher-friendly), dependent pointer chasing and hashed
  * irregular access (prefetcher-adverse but easy for an off-chip
  * predictor), Ligra-style scan/gather graph phases, and CVP-style
- * branchy compute. See DESIGN.md section 4 for the substitution
- * argument.
+ * branchy compute.
  */
 
 #ifndef ATHENA_TRACE_WORKLOAD_HH
@@ -242,8 +241,6 @@ class SyntheticWorkload : public WorkloadGenerator
      *  per-phase pattern cursors; derived reducers, thresholds and
      *  zipf tables are rebuilt from the spec. */
     void serialize(SnapshotIo &io) override;
-
-    const WorkloadSpec &workloadSpec() const { return spec; }
 
   private:
     /**

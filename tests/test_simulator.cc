@@ -7,7 +7,10 @@
  */
 
 #include <cstdint>
+#include <functional>
 #include <gtest/gtest.h>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/simulator.hh"
@@ -215,6 +218,45 @@ TEST(Simulator, PollutionMeasuredOnAdversePrefetching)
     cfg.l2cPf = PrefetcherKind::kNextLine;
     SimResult res = run(cfg, chaseSpec());
     EXPECT_GT(res.dram.prefetchRequests, 1000u);
+}
+
+TEST(Simulator, RejectsConfigsThatCrashedReleaseBuilds)
+{
+    // Each value once died in Release (SIGFPE in QVStore::rowOf,
+    // SIGSEGV in QVStore::argmax or on a null prefetcher) or, for
+    // the OCP, silently ran without one. Now the constructor or
+    // factory that owns the field throws, naming it.
+    struct Row
+    {
+        const char *names;
+        std::function<void(SystemConfig &)> set;
+    };
+    const Row rows[] = {
+        {"QVStoreParams::rows",
+         [](SystemConfig &c) { c.athena.qv.rows = 0; }},
+        {"QVStoreParams::actions",
+         [](SystemConfig &c) { c.athena.qv.actions = 0; }},
+        {"PrefetcherKind 200",
+         [](SystemConfig &c) { c.l1dPf = PrefetcherKind{200}; }},
+        {"PrefetcherKind 255",
+         [](SystemConfig &c) { c.l2cPf = PrefetcherKind{255}; }},
+        {"PrefetcherKind 9",
+         [](SystemConfig &c) { c.l2cPf2 = PrefetcherKind{9}; }},
+        {"OcpKind 4", [](SystemConfig &c) { c.ocp = OcpKind{4}; }},
+    };
+    for (const Row &row : rows) {
+        SystemConfig cfg =
+            makeDesignConfig(CacheDesign::kCd1, PolicyKind::kAthena);
+        row.set(cfg);
+        try {
+            Simulator sim(cfg, {streamSpec()});
+            ADD_FAILURE() << row.names << ": accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(row.names),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/bytes.hh"
 #include "common/rng.hh"
 #include "common/sat_counter.hh"
 #include "mem/cache.hh"
@@ -56,22 +57,6 @@ writeFile(const std::string &path, const std::vector<std::uint8_t> &b)
               static_cast<std::streamsize>(b.size()));
 }
 
-std::uint32_t
-loadLe32(const std::uint8_t *p)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= std::uint32_t{p[i]} << (8 * i);
-    return v;
-}
-
-void
-storeLe32(std::uint8_t *p, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
 /** Where one section lives in a serialized snapshot. */
 struct SectionLoc
 {
@@ -86,7 +71,7 @@ locateSection(const std::vector<std::uint8_t> &b, const std::string &tag)
 {
     constexpr std::size_t kHeader = 16;
     constexpr std::size_t kEntry = kSnapshotTagBytes + 24;
-    const std::uint32_t count = loadLe32(&b[8]);
+    const std::uint32_t count = loadLe<std::uint32_t>(&b[8]);
     for (std::uint32_t i = 0; i < count; ++i) {
         const std::size_t e = kHeader + std::size_t{i} * kEntry;
         const std::string name(reinterpret_cast<const char *>(&b[e]));
@@ -587,8 +572,8 @@ TEST(SnapshotRangeGuards, MruWayHintPastTheSetIsRejected)
         // Cache::serialize: u32 sets, u32 ways, five u64 counters,
         // the tag and LRU arrays (sets x ways u64 each), one MRU
         // byte per set, then 19 bytes of metadata per line.
-        const std::size_t sets = loadLe32(&clean[loc.offset]);
-        const std::size_t ways = loadLe32(&clean[loc.offset + 4]);
+        const std::size_t sets = loadLe<std::uint32_t>(&clean[loc.offset]);
+        const std::size_t ways = loadLe<std::uint32_t>(&clean[loc.offset + 4]);
         ASSERT_EQ(loc.length, 48 + sets * ways * (16 + 19) + sets)
             << tag;
         const std::size_t last_hint =
@@ -625,12 +610,12 @@ TEST(SnapshotRangeGuards, PythiaQueueFieldsAreRangeChecked)
     constexpr std::size_t kHead = kQueue + kEntries * kEntry;
     constexpr std::size_t kCount = kHead + 4;
     ASSERT_EQ(loc.length, kCount + 4 + 29);
-    ASSERT_LT(loadLe32(&clean[loc.offset + kHead]), kEntries);
-    ASSERT_LE(loadLe32(&clean[loc.offset + kCount]), kEntries);
+    ASSERT_LT(loadLe<std::uint32_t>(&clean[loc.offset + kHead]), kEntries);
+    ASSERT_LE(loadLe<std::uint32_t>(&clean[loc.offset + kCount]), kEntries);
 
     auto with = [&](std::size_t field, std::uint32_t v) {
         auto bytes = clean;
-        storeLe32(&bytes[loc.offset + field], v);
+        storeLe<std::uint32_t>(&bytes[loc.offset + field], v);
         return bytes;
     };
     const auto action = [](std::size_t entry) {
@@ -668,11 +653,11 @@ TEST(SnapshotRangeGuards, AthenaPrevActionIsRangeChecked)
     // prevAction, f64 last reward and four u64 action counts.
     const std::size_t prev_action = loc.offset + loc.length - 44;
     const std::uint32_t actions = cfg.athena.qv.actions;
-    ASSERT_LT(loadLe32(&clean[prev_action]), actions);
+    ASSERT_LT(loadLe<std::uint32_t>(&clean[prev_action]), actions);
 
     auto with = [&](std::uint32_t v) {
         auto bytes = clean;
-        storeLe32(&bytes[prev_action], v);
+        storeLe<std::uint32_t>(&bytes[prev_action], v);
         return bytes;
     };
 
@@ -703,12 +688,12 @@ TEST(SnapshotRangeGuards, CoreCursorsAreRangeChecked)
     constexpr std::size_t kMshrCount = 40;
     const std::uint32_t rob = cfg.core.robSize;
     const std::uint32_t mshrs = cfg.core.l1Mshrs;
-    ASSERT_EQ(loadLe32(&clean[loc.offset]), rob);
-    ASSERT_EQ(loadLe32(&clean[loc.offset + 4]), mshrs);
+    ASSERT_EQ(loadLe<std::uint32_t>(&clean[loc.offset]), rob);
+    ASSERT_EQ(loadLe<std::uint32_t>(&clean[loc.offset + 4]), mshrs);
 
     auto with = [&](std::size_t field, std::uint32_t v) {
         auto bytes = clean;
-        storeLe32(&bytes[loc.offset + field], v);
+        storeLe<std::uint32_t>(&bytes[loc.offset + field], v);
         return bytes;
     };
 
@@ -748,12 +733,12 @@ TEST(SnapshotRangeGuards, BertiCursorsAreRangeChecked)
     constexpr std::size_t kActiveCount = kHistHead + 4 + 16 * 8 + 4 +
                                          4 * 4;
     static_assert(kHistHead == 143 && kActiveCount == 295);
-    ASSERT_LT(loadLe32(&clean[loc.offset + kHistHead]), 8u);
-    ASSERT_LE(loadLe32(&clean[loc.offset + kActiveCount]), 4u);
+    ASSERT_LT(loadLe<std::uint32_t>(&clean[loc.offset + kHistHead]), 8u);
+    ASSERT_LE(loadLe<std::uint32_t>(&clean[loc.offset + kActiveCount]), 4u);
 
     auto with = [&](std::size_t field, std::uint32_t v) {
         auto bytes = clean;
-        storeLe32(&bytes[loc.offset + field], v);
+        storeLe<std::uint32_t>(&bytes[loc.offset + field], v);
         return bytes;
     };
 
@@ -789,7 +774,8 @@ TEST(SnapshotRangeGuards, PerceptronWeightsAreRangeChecked)
 
     auto with = [&](std::int32_t v) {
         auto bytes = clean;
-        storeLe32(&bytes[loc.offset], static_cast<std::uint32_t>(v));
+        storeLe<std::uint32_t>(&bytes[loc.offset],
+                               static_cast<std::uint32_t>(v));
         return bytes;
     };
 
@@ -816,11 +802,11 @@ TEST(SnapshotRangeGuards, MlopActiveCountIsRangeChecked)
     // clock.
     constexpr std::size_t kActiveCount = 4 + 32 * 25 + 63 * 4 + 4 * 4;
     ASSERT_EQ(loc.length, kActiveCount + 16);
-    ASSERT_LE(loadLe32(&clean[loc.offset + kActiveCount]), 4u);
+    ASSERT_LE(loadLe<std::uint32_t>(&clean[loc.offset + kActiveCount]), 4u);
 
     auto with = [&](std::uint32_t v) {
         auto bytes = clean;
-        storeLe32(&bytes[loc.offset + kActiveCount], v);
+        storeLe<std::uint32_t>(&bytes[loc.offset + kActiveCount], v);
         return bytes;
     };
 
@@ -884,7 +870,7 @@ TEST(SnapshotRangeGuards, HpacLevelsAreRangeChecked)
 
     auto with = [&](std::size_t slot, std::uint32_t v) {
         auto bytes = clean;
-        storeLe32(&bytes[loc.offset + 4 * slot], v);
+        storeLe<std::uint32_t>(&bytes[loc.offset + 4 * slot], v);
         return bytes;
     };
 
@@ -962,8 +948,8 @@ TEST(SnapshotRangeGuards, CoreRestoredPastWarmupStopStillRuns)
     // prevLoadComplete, u64 frontier, then u64 retired instructions.
     constexpr std::size_t kRetired = 60;
     const SectionLoc core = locateSection(bytes, "c0/core");
-    ASSERT_EQ(loadLe32(&bytes[core.offset + kRetired]), 4000u);
-    storeLe32(&bytes[core.offset + kRetired], 4500);
+    ASSERT_EQ(loadLe<std::uint32_t>(&bytes[core.offset + kRetired]), 4000u);
+    storeLe<std::uint32_t>(&bytes[core.offset + kRetired], 4500);
     resealSection(bytes, core);
     // Simulator::serialize's resume section: u64 warmup, bool
     // anyStarted, six u64 DRAM counters, u64 frontier, then per core

@@ -3,10 +3,12 @@
  * Tests for the trace file reader/writer: lossless round-trips
  * between the in-memory records and both on-disk formats, pinned
  * checks on the checked-in sample traces (so the formats cannot
- * drift silently), the mmap-backed TraceFile batch API, and
- * malformed-input diagnostics.
+ * drift silently), the mmap-backed TraceFile batch API,
+ * malformed-input diagnostics, and a table of hostile headers and
+ * paths that every trace and snapshot reader must agree on.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <gtest/gtest.h>
@@ -15,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.hh"
+#include "snapshot/snapshot.hh"
 #include "trace/trace_file.hh"
 #include "trace/workload.hh"
 
@@ -271,6 +275,99 @@ TEST(TraceFileFormat, MissingFileIsDiagnosed)
                  std::runtime_error);
     EXPECT_THROW(readTraceFile("/nonexistent/trace.bin"),
                  std::runtime_error);
+}
+
+// ------------------------------------------------- hostile inputs
+
+/** Marks a row every reader must reject with std::runtime_error. */
+constexpr std::size_t kRejected = SIZE_MAX;
+
+/** One ATRC header boundary: the file's bytes and the number of
+ *  records every reader must decode from them (or kRejected). */
+struct HeaderRow
+{
+    const char *name;
+    std::string bytes;
+    std::size_t records;
+};
+
+std::vector<HeaderRow>
+headerRows(const std::vector<TraceRecord> &recs)
+{
+    std::stringstream ss;
+    writeTrace(ss, recs.data(), recs.size(), TraceFormat::kBinary);
+    const std::string valid = ss.str();
+    auto with_byte = [&](std::size_t at, unsigned char v) {
+        std::string b = valid;
+        b[at] = static_cast<char>(v);
+        return b;
+    };
+    auto with_count = [&](std::uint64_t n) {
+        std::string b = valid;
+        storeLe64(reinterpret_cast<std::uint8_t *>(b.data() + 8), n);
+        return b;
+    };
+    return {
+        {"count 0", with_count(0), 0},
+        {"count exact", valid, recs.size()},
+        {"count exact+1", with_count(recs.size() + 1), kRejected},
+        {"count 2^64-1", with_count(UINT64_MAX), kRejected},
+        {"record size 0", with_byte(5, 0), kRejected},
+        {"record size 16", with_byte(5, 16), kRejected},
+        {"record size 18", with_byte(5, 18), kRejected},
+        {"record size 255", with_byte(5, 255), kRejected},
+        {"version 0", with_byte(4, 0), kRejected},
+        {"version 2", with_byte(4, 2), kRejected},
+        {"magic only", valid.substr(0, kTraceMagicBytes), kRejected},
+        {"empty file", "", 0},
+    };
+}
+
+TEST(TraceFileHostile, HeaderBoundariesAgreeAcrossReaders)
+{
+    const auto recs = exhaustiveRecords();
+    for (const HeaderRow &row : headerRows(recs)) {
+        SCOPED_TRACE(row.name);
+        TempPath path("hostile.bin");
+        {
+            std::ofstream os(path.str(), std::ios::binary);
+            os.write(row.bytes.data(),
+                     static_cast<std::streamsize>(row.bytes.size()));
+        }
+        std::stringstream stream(row.bytes);
+        if (row.records == kRejected) {
+            EXPECT_THROW(TraceFile trace(path.str()), std::runtime_error);
+            EXPECT_THROW(readTraceFile(path.str()), std::runtime_error);
+            EXPECT_THROW(readTrace(stream), std::runtime_error);
+            continue;
+        }
+        const TraceFile trace(path.str());
+        std::vector<TraceRecord> mapped(trace.size());
+        EXPECT_EQ(trace.copy(0, mapped.data(), mapped.size()),
+                  mapped.size());
+        for (const auto &got :
+             {mapped, readTraceFile(path.str()), readTrace(stream)}) {
+            ASSERT_EQ(got.size(), row.records);
+            for (std::size_t i = 0; i < got.size(); ++i)
+                EXPECT_TRUE(sameRecord(got[i], recs[i])) << "record " << i;
+        }
+    }
+}
+
+TEST(TraceFileHostile, PathsThatAreNotTracesAreRejected)
+{
+    // A directory opens but cannot be read: every path-taking reader
+    // throws its own error type instead of reading zero bytes.
+    const std::string dir = ::testing::TempDir();
+    EXPECT_THROW(TraceFile trace(dir), std::runtime_error);
+    EXPECT_THROW(readTraceFile(dir), std::runtime_error);
+    EXPECT_THROW(SnapshotReader reader(dir), SnapshotError);
+
+    // An empty file is an empty text trace, but no snapshot.
+    TempPath empty("empty");
+    std::ofstream(empty.str(), std::ios::binary).close();
+    EXPECT_EQ(TraceFile(empty.str()).size(), 0u);
+    EXPECT_THROW(SnapshotReader reader(empty.str()), SnapshotError);
 }
 
 } // namespace
