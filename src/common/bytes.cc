@@ -24,7 +24,11 @@ namespace
 struct FdGuard
 {
     int fd;
-    ~FdGuard() { ::close(fd); }
+    ~FdGuard()
+    {
+        if (fd >= 0)
+            ::close(fd);
+    }
 };
 
 [[noreturn]] void
